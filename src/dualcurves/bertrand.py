@@ -10,11 +10,11 @@ a report; they never assume the property they test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curves import DualCurve, reparam_by_arclength
+from .curves import DualCurve, ReparamCurve, reparam_by_arclength
 from .dual import PURE_DUAL_TOL, DualScalar, as_dual, dual_abs
 from .errors import (CuspPoint, DegenerateAngle, DegenerateDenominator,
                      IrregularCurve, NotPlanar, PureDualCurvature,
@@ -113,20 +113,17 @@ class InvoluteCurve(DualCurve):
         return tuple(a.truncated(order) + t * f for a, t in zip(A, T))
 
 
-def ensure_unit_speed(curve: DualCurve, tol: float = 1e-8,
-                      samples: int = 64) -> DualCurve:
-    """The curve itself if its dual speed is 1+eps*0 everywhere probed,
-    else its arc-length reparametrization."""
-    a, b = curve.domain
-    for t in (a + 0.251 * (b - a), a + 0.5 * (b - a), a + 0.749 * (b - a)):
-        v = curve.velocity_norm(t)
-        if abs(v.re - 1.0) > tol or abs(v.du) > tol:
-            return reparam_by_arclength(curve, samples=samples)
-    return curve
+def ensure_unit_speed(curve: DualCurve, samples: int = 64) -> DualCurve:
+    """The curve itself if it is a ReparamCurve, else its arc-length
+    reparametrization: no finite set of speed probes proves unit speed."""
+    if isinstance(curve, ReparamCurve):
+        return curve
+    return reparam_by_arclength(curve, samples=samples)
 
 
 def involute(alpha: DualCurve, c, samples: int = 64) -> InvoluteCurve:
-    """Involute of alpha for string constant c (reparametrizes if needed)."""
+    """Involute of alpha for string constant c, on the arc-length
+    reparametrization of alpha (see ensure_unit_speed)."""
     return InvoluteCurve(ensure_unit_speed(alpha, samples=samples), as_dual(c))
 
 
@@ -179,7 +176,7 @@ def offset_tangent_residual(alpha: DualCurve, lam, t: float) -> tuple[float, flo
     beta = OffsetCurve(alpha, lam)
     fa = frenet_at(alpha, t)
     fb = frenet_at(beta, t)
-    ratio = beta.velocity_norm(t) / alpha.velocity_norm(t)
+    ratio = fb.speed / fa.speed
     lhs = ratio * fb.T
     one = DualScalar(1.0)
     rhs = (one - lam * fa.kappa) * fa.T + (lam * fa.tau) * fa.B
@@ -333,37 +330,21 @@ def _deviation(values: list[DualScalar]) -> tuple[float, DualScalar]:
     return dev, mean
 
 
-def check_distance_constant(alpha: DualCurve, beta: DualCurve, pairing=None,
-                            n: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL):
-    """The dual distance between corresponding points is constant for a
-    true pair.  Returns (CriterionResult, samples, mean)."""
-    pairing = pairing or identity_pairing
-    samples = []
-    for t in _params(alpha.domain, n):
-        u = pairing(t)
-        samples.append(_pair_distance(alpha.position(t), beta.position(u)))
+def _distance_criterion(ps: list[DualVec3], qs: list[DualVec3], tol: float):
+    """Constancy of |qs[i] - ps[i]|; returns (result, samples, mean)."""
+    samples = [_pair_distance(p, q) for p, q in zip(ps, qs)]
     dev, mean = _deviation(samples)
     result = CriterionResult("distance_constant", dev <= tol, dev, tol,
                              detail=f"mean distance {mean}")
     return result, samples, mean
 
 
-def check_angle_constant(alpha: DualCurve, beta: DualCurve, pairing=None,
-                         n: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL):
-    """The dual angle between tangents is constant for a true pair.
-
-    Where dual_angle degenerates (tangents (anti)parallel) the check
-    falls back to constancy of the dual cosine dot(T, T_mate), which is
-    the form the underlying derivative argument actually establishes.
-    Returns (CriterionResult, angles_or_None, cos_samples).
-    """
-    pairing = pairing or identity_pairing
+def _angle_criterion(tas: list[DualVec3], tbs: list[DualVec3], tol: float):
+    """Constancy of the dual angle between tangents tas[i], tbs[i]; see
+    check_angle_constant."""
     angles: list[DualAngle] | None = []
     cosines: list[DualScalar] = []
-    for t in _params(alpha.domain, n):
-        u = pairing(t)
-        ta = frenet_at(alpha, t).T
-        tb = frenet_at(beta, u).T
+    for ta, tb in zip(tas, tbs):
         cosines.append(dot(ta, tb))
         if angles is not None:
             try:
@@ -380,6 +361,32 @@ def check_angle_constant(alpha: DualCurve, beta: DualCurve, pairing=None,
     result = CriterionResult("angle_constant", dev <= tol, dev, tol,
                              detail=f"{detail}; mean {mean}")
     return result, angles, cosines
+
+
+def check_distance_constant(alpha: DualCurve, beta: DualCurve, pairing=None,
+                            n: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL):
+    """The dual distance between corresponding points is constant for a
+    true pair.  Needs positions only, so it also runs where no frame
+    exists.  Returns (CriterionResult, samples, mean)."""
+    pairing = pairing or identity_pairing
+    ts = _params(alpha.domain, n)
+    return _distance_criterion([alpha.position(t) for t in ts],
+                               [beta.position(pairing(t)) for t in ts], tol)
+
+
+def check_angle_constant(alpha: DualCurve, beta: DualCurve, pairing=None,
+                         n: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL):
+    """The dual angle between tangents is constant for a true pair.
+
+    Where dual_angle degenerates (tangents (anti)parallel) the check
+    falls back to constancy of the dual cosine dot(T, T_mate), which is
+    the form the underlying derivative argument actually establishes.
+    Returns (CriterionResult, angles_or_None, cos_samples).
+    """
+    pairing = pairing or identity_pairing
+    ts = _params(alpha.domain, n)
+    return _angle_criterion([frenet_at(alpha, t).T for t in ts],
+                            [frenet_at(beta, pairing(t)).T for t in ts], tol)
 
 
 def fit_linear_relation(kappas, taus) -> RelationFit:
@@ -426,13 +433,6 @@ def check_bertrand_pair(alpha: DualCurve, beta: DualCurve,
     pairing = pairing or nearest_point_pairing(alpha, beta)
     ts = _params(alpha.domain, n)
     us = [pairing(t) for t in ts]
-    pair_map = dict(zip(ts, us))
-
-    def cached_pairing(t):
-        if t in pair_map:
-            return pair_map[t]
-        return pairing(t)
-
     frames_a = [frenet_at(alpha, t) for t in ts]
     frames_b = [frenet_at(beta, u) for u in us]
 
@@ -447,12 +447,12 @@ def check_bertrand_pair(alpha: DualCurve, beta: DualCurve,
         "normal_alignment", align_dev <= tol, align_dev, tol,
         detail="max |N x N_mate| over samples, both parts")
 
-    dist_result, dist_samples, _ = check_distance_constant(
-        alpha, beta, pairing=cached_pairing, n=n, tol=tol)
+    dist_result, dist_samples, _ = _distance_criterion(
+        [f.position for f in frames_a], [f.position for f in frames_b], tol)
     criteria["distance_constant"] = dist_result
 
-    angle_result, angles, cosines = check_angle_constant(
-        alpha, beta, pairing=cached_pairing, n=n, tol=tol)
+    angle_result, angles, cosines = _angle_criterion(
+        [f.T for f in frames_a], [f.T for f in frames_b], tol)
     criteria["angle_constant"] = angle_result
 
     sin_min = min(
@@ -472,8 +472,7 @@ def check_bertrand_pair(alpha: DualCurve, beta: DualCurve,
     ratios = []
     for i in range(1, len(ts) - 1):
         du_dt = (us[i + 1] - us[i - 1]) / (ts[i + 1] - ts[i - 1])
-        ratios.append(beta.velocity_norm(us[i]).re * du_dt
-                      / alpha.velocity_norm(ts[i]).re)
+        ratios.append(frames_b[i].speed.re * du_dt / frames_a[i].speed.re)
     ratio_var = 0.0
     if ratios:
         mean_ratio = sum(ratios) / len(ratios)
@@ -524,11 +523,13 @@ def check_involute_pair(alpha: DualCurve, c1, c2,
 
     criteria = {}
     m = min(n, 50)
+    frames = []  # m frames of inv1, then m of inv2
     for label, inv, c in (("involute1", inv1, c1), ("involute2", inv2, c2)):
         worst_frenet = 0.0
         worst_formula = 0.0
         for s in _params(window, m):
-            tf = frenet_at(inv, s).tau
+            frames.append(frenet_at(inv, s))
+            tf = frames[-1].tau
             worst_frenet = max(worst_frenet, abs(tf.re), abs(tf.du))
             tq = involute_torsion(unit, c, s)
             worst_formula = max(worst_formula, abs(tq.re), abs(tq.du))
@@ -551,20 +552,12 @@ def check_involute_pair(alpha: DualCurve, c1, c2,
     else:
         expected = (DualScalar(0.0) if abs(delta.re) <= PURE_DUAL_TOL
                     else dual_abs(delta))
-        _, _, mean = check_distance_constant(
-            inv1, inv2, pairing=None, n=min(n, 50), tol=tol)
+        _, _, mean = _distance_criterion([f.position for f in frames[:m]],
+                                         [f.position for f in frames[m:]], tol)
         err = max(abs(mean.re - expected.re), abs(mean.du - expected.du))
         criteria["distance_value"] = CriterionResult(
             "distance_value", err <= RELATION_TOL_FACTOR * tol, err,
             RELATION_TOL_FACTOR * tol,
             detail=f"measured {mean}, expected {expected}")
 
-    return BertrandReport(
-        criteria=criteria,
-        distance_samples=report.distance_samples,
-        angle_samples=report.angle_samples,
-        cos_samples=report.cos_samples,
-        normal_alignment=report.normal_alignment,
-        fit=report.fit,
-        speed_ratio_variation=report.speed_ratio_variation,
-    )
+    return replace(report, criteria=criteria)

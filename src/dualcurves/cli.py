@@ -207,8 +207,6 @@ def _positions(curve: DualCurve, ts: list[float]) -> list[tuple[float, DualVec3]
     for t in ts:
         try:
             rows.append((t, curve.position(t)))
-        except NotPlanar:
-            raise
         except DualCurvesError as exc:
             print(f"error at t = {format_float(t)}: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -12,7 +12,8 @@ from .linalg import DualVec3, cross, det3, dot, norm, normalize
 
 @dataclass(frozen=True)
 class FrenetData:
-    """Frame and scalar invariants of a dual curve at one parameter value."""
+    """Frame and scalar invariants of a dual curve at one parameter value,
+    plus the position and dual speed from the same evaluation (not in to_dict)."""
 
     t: float
     T: DualVec3
@@ -20,6 +21,8 @@ class FrenetData:
     B: DualVec3
     kappa: DualScalar
     tau: DualScalar
+    position: DualVec3
+    speed: DualScalar
 
     def to_dict(self) -> dict:
         return {
@@ -65,7 +68,8 @@ def frenet_at(curve: DualCurve, t: float, tol: float = PURE_DUAL_TOL) -> FrenetD
         raise PureDualCurvature(
             f"degenerate frame data at t = {t!r}: {exc}") from exc
     B = cross(T, N)
-    return FrenetData(t=float(as_dual(t).re), T=T, N=N, B=B, kappa=kappa, tau=tau)
+    return FrenetData(t=float(as_dual(t).re), T=T, N=N, B=B, kappa=kappa,
+                      tau=tau, position=point.position, speed=speed)
 
 
 def _max_abs(v: DualVec3) -> float:

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from dualcurves import (DualScalar, check_angle_constant, check_bertrand_pair,
-                        check_distance_constant, check_involute_pair,
-                        compile_curve, dot, fit_linear_relation, frenet_at,
-                        identity_pairing, involute, involute_torsion,
-                        nearest_point_pairing, offset_curve,
-                        offset_tangent_residual, reparam_by_arclength)
+import dualcurves.bertrand as bertrand_module
+from dualcurves import (DualScalar, InvoluteCurve, check_angle_constant,
+                        check_bertrand_pair, check_distance_constant,
+                        check_involute_pair, compile_curve, dot,
+                        ensure_unit_speed,
+                        fit_linear_relation, frenet_at, identity_pairing,
+                        involute, involute_torsion, nearest_point_pairing,
+                        offset_curve, offset_tangent_residual,
+                        reparam_by_arclength)
 from dualcurves.errors import (CuspPoint, IrregularCurve, NotPlanar,
                                PureDualCurvature)
 from tests.conftest import (CONST_CURVATURE, CONST_CURVATURE_DOMAIN,
@@ -126,6 +129,31 @@ def test_tangent_shifted_pairing_fails_distance():
     assert result.max_deviation > 1e-3
 
 
+@pytest.mark.parametrize("lam", LAMBDA_GRID, ids=str)
+def test_pair_criteria_match_standalone_checks(helix_r2, lam):
+    beta = offset_curve(helix_r2, lam)
+    report = check_bertrand_pair(helix_r2, beta, n=12, tol=1e-8,
+                                 pairing=identity_pairing)
+    dist, _, _ = check_distance_constant(helix_r2, beta, n=12, tol=1e-8)
+    angle, _, _ = check_angle_constant(helix_r2, beta, n=12, tol=1e-8)
+    assert report.criteria["distance_constant"] == dist
+    assert report.criteria["angle_constant"] == angle
+
+
+def test_pair_check_evaluates_each_frame_once(helix_r2, monkeypatch):
+    calls = []
+
+    def counting(curve, t, *args, **kwargs):
+        calls.append(t)
+        return frenet_at(curve, t, *args, **kwargs)
+
+    monkeypatch.setattr(bertrand_module, "frenet_at", counting)
+    beta = offset_curve(helix_r2, DualScalar(1.0, 1.0))
+    report = check_bertrand_pair(helix_r2, beta, n=4, pairing=identity_pairing)
+    assert report.passed
+    assert len(calls) == 2 * 4
+
+
 def test_angle_constant_on_offset_pair(helix_r2):
     beta = offset_curve(helix_r2, DualScalar(1.0, 1.0))
     result, angles, cosines = check_angle_constant(
@@ -172,6 +200,44 @@ def test_fit_noise_fails():
 
 # ---------------------------------------------------------------------------
 # involutes
+
+
+@pytest.fixture(scope="module")
+def dual_circle_unit(dual_circle):
+    return reparam_by_arclength(dual_circle)
+
+
+@pytest.mark.parametrize("kind", ["expr", "offset", "involute", "reparam"])
+def test_frame_position_and_speed_match_direct_evaluation(
+        kind, dual_helix, helix_r2, dual_circle_unit):
+    curve = {
+        "expr": lambda: dual_helix,
+        "offset": lambda: offset_curve(helix_r2, DualScalar(1.0, 1.0)),
+        "involute": lambda: InvoluteCurve(dual_circle_unit, DualScalar(5.0)),
+        "reparam": lambda: dual_circle_unit,
+    }[kind]()
+
+    def bits(*scalars):
+        return [(v.re.hex(), v.du.hex()) for v in scalars]
+
+    for t in (0.4, 1.3, 2.9):
+        frame = frenet_at(curve, t)
+        assert bits(*frame.position.comps()) == bits(*curve.position(t).comps())
+        assert bits(frame.speed) == bits(curve.velocity_norm(t))
+
+
+def test_ensure_unit_speed_reparametrizes_probe_blind_curve():
+    # g' = 1 + 20(t-.251)(t-.5)(t-.749) is 1 at the quarter points but 0.216
+    # at t = 0.1, so speed probes there cannot tell this curve from unit speed
+    g = "(t + 5*(t - 0.5)^4 - 10*0.249^2*(t - 0.5)^2)"
+    curve = compile_curve(f"[cos({g}), sin({g}), 0]", (0.0, 1.0))
+    assert abs(curve.velocity_norm(0.1).re - 0.216) <= 1e-4
+    unit = ensure_unit_speed(curve)
+    a, b = unit.domain
+    for frac in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
+        v = unit.velocity_norm(a + frac * (b - a))
+        assert abs(v.re - 1.0) <= 1e-9 and abs(v.du) <= 1e-9
+    assert ensure_unit_speed(unit) is unit
 
 
 def test_involute_tangent_perpendicular_to_base(unit_circle):
