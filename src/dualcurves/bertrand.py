@@ -115,10 +115,17 @@ class InvoluteCurve(DualCurve):
 
 def ensure_unit_speed(curve: DualCurve, samples: int = 64) -> DualCurve:
     """The curve itself if it is a ReparamCurve, else its arc-length
-    reparametrization: no finite set of speed probes proves unit speed."""
+    reparametrization: no finite set of speed probes proves unit speed.
+
+    The reparametrization is built once per curve object and samples
+    value, kept on the curve, and returned again on later calls.
+    """
     if isinstance(curve, ReparamCurve):
         return curve
-    return reparam_by_arclength(curve, samples=samples)
+    built = vars(curve).setdefault("_unit_speed", {})
+    if samples not in built:
+        built[samples] = reparam_by_arclength(curve, samples=samples)
+    return built[samples]
 
 
 def involute(alpha: DualCurve, c, samples: int = 64) -> InvoluteCurve:

@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .dual import PURE_DUAL_TOL, DualScalar, as_dual
 from .errors import IrregularCurve, OutOfDomain, QuadratureFailure
@@ -89,6 +88,36 @@ def _panel(curve, a, b, nodes, weights) -> DualScalar:
     return half * total
 
 
+def _quadrature(curve, t0, t1, order, tol, max_depth=40):
+    """Adaptive quadrature of the dual speed over [t0, t1] (see arc_length).
+
+    Returns the total and the accepted half-panels as (right end, value),
+    in the order the subdivision accepts them, which runs right to left.
+    """
+    nodes, weights = _gauss_rule(order)
+    span = t1 - t0
+    min_width = span / 2.0**max_depth
+    total = DualScalar(0.0)
+    halves = []
+    stack = [(t0, t1, _panel(curve, t0, t1, nodes, weights))]
+    while stack:
+        a, b, whole = stack.pop()
+        mid = 0.5 * (a + b)
+        left = _panel(curve, a, mid, nodes, weights)
+        right = _panel(curve, mid, b, nodes, weights)
+        refined = left + right
+        if abs(refined.re - whole.re) <= max(tol * (b - a) / span, 1e-16):
+            total = total + refined
+            halves += [(b, right), (mid, left)]
+            continue
+        if (b - a) <= min_width:
+            raise QuadratureFailure(
+                f"arc-length quadrature stalled on [{a!r}, {b!r}]")
+        stack.append((a, mid, left))
+        stack.append((mid, b, right))
+    return total, halves
+
+
 def arc_length(curve: DualCurve, t0: float, t1: float, order: int = 16,
                tol: float = 1e-10, max_depth: int = 40) -> DualScalar:
     """Dual arc length of the curve over [t0, t1].
@@ -107,34 +136,19 @@ def arc_length(curve: DualCurve, t0: float, t1: float, order: int = 16,
     curve._check_domain(t1)
     if t0 == t1:
         return DualScalar(0.0)
-    nodes, weights = _gauss_rule(order)
-    span = t1 - t0
-    min_width = span / 2.0**max_depth
-    total = DualScalar(0.0)
-    stack = [(t0, t1, _panel(curve, t0, t1, nodes, weights))]
-    while stack:
-        a, b, whole = stack.pop()
-        mid = 0.5 * (a + b)
-        left = _panel(curve, a, mid, nodes, weights)
-        right = _panel(curve, mid, b, nodes, weights)
-        refined = left + right
-        if abs(refined.re - whole.re) <= max(tol * (b - a) / span, 1e-16):
-            total = total + refined
-            continue
-        if (b - a) <= min_width:
-            raise QuadratureFailure(
-                f"arc-length quadrature stalled on [{a!r}, {b!r}]")
-        stack.append((a, mid, left))
-        stack.append((mid, b, right))
-    return total
+    return _quadrature(curve, t0, t1, order, tol, max_depth)[0]
 
 
 class ArcLengthTable:
     """Cumulative dual arc length sampled at uniform knots.
 
-    Supports evaluating the cumulative length at any parameter (knot
-    value plus a quadrature remainder) and inverting the real part by a
-    monotone cubic seed refined with Newton iteration.
+    Between knots the table keeps the half-panels its adaptive quadrature
+    accepted: `edges` are their end points in increasing order and
+    `edge_lengths` the cumulative dual length at each.  The cumulative
+    length at any parameter is the value at the nearest edge plus one
+    fixed Gauss-Legendre rule over the remainder; the real part is
+    inverted by a seed interpolated between edges, refined with Newton
+    iteration.
     """
 
     def __init__(self, curve: DualCurve, samples: int = 64,
@@ -149,13 +163,23 @@ class ArcLengthTable:
         for knot in self.knots:
             curve.velocity_norm(knot)
         cumulative = [DualScalar(0.0)]
+        edges, edge_lengths = [self.knots[0]], [cumulative[0]]
         for lo, hi in zip(self.knots, self.knots[1:]):
-            cumulative.append(cumulative[-1] + arc_length(curve, lo, hi, order, tol))
+            total, halves = _quadrature(curve, lo, hi, order, tol)
+            s = cumulative[-1]
+            for end, value in reversed(halves):
+                s = s + value
+                edges.append(end)
+                edge_lengths.append(s)
+            cumulative.append(cumulative[-1] + total)
+            edge_lengths[-1] = cumulative[-1]
         self.cumulative = cumulative
+        self.edges = edges
+        self.edge_lengths = edge_lengths
         s_re = [c.re for c in cumulative]
         if any(y >= z for y, z in zip(s_re, s_re[1:])):
             raise IrregularCurve("cumulative arc length is not strictly increasing")
-        self._seed = PchipInterpolator(s_re, self.knots)
+        self._seed_s = np.array([c.re for c in edge_lengths])
 
     @property
     def length(self) -> DualScalar:
@@ -164,30 +188,36 @@ class ArcLengthTable:
     def s_at(self, t: float) -> DualScalar:
         """Cumulative dual arc length from the domain start to t."""
         self.curve._check_domain(t)
-        k = bisect.bisect_right(self.knots, t) - 1
-        k = min(max(k, 0), len(self.knots) - 2)
-        base, knot = self.cumulative[k], self.knots[k]
-        if t == knot:
-            return base
-        if t < knot:
-            return base - arc_length(self.curve, t, knot, self.order, self.tol)
-        return base + arc_length(self.curve, knot, t, self.order, self.tol)
+        edges = self.edges
+        i = bisect.bisect_left(edges, t)
+        if i == len(edges) or (i > 0 and t - edges[i - 1] <= edges[i] - t):
+            i -= 1
+        if t == edges[i]:
+            return self.edge_lengths[i]
+        nodes, weights = _gauss_rule(self.order)
+        return self.edge_lengths[i] + _panel(self.curve, edges[i], t, nodes, weights)
 
     def invert_real(self, s: float, tol: float = 1e-12, max_iter: int = 50) -> float:
-        """Parameter t with real arc length s, by monotone seed + Newton."""
+        """Parameter t with real arc length s, by interpolated seed + Newton."""
+        return self._invert(s, tol, max_iter)[0]
+
+    def _invert(self, s: float, tol: float = 1e-12,
+                max_iter: int = 50) -> tuple[float, DualScalar]:
+        """invert_real's t, with s_at(t) from its last residual check."""
         a, b = self.curve.domain
         total = self.cumulative[-1].re
         slack = 1e-9 * total + 1e-12
         if not (-slack <= s <= total + slack):
             raise OutOfDomain(f"arc length {s!r} outside [0, {total!r}]")
         s = min(max(s, 0.0), total)
-        t = float(self._seed(s))
+        t = float(np.interp(s, self._seed_s, self.edges))
         t = min(max(t, a), b)
         goal = tol * max(1.0, total)
         for _ in range(max_iter):
-            r = self.s_at(t).re - s
+            s_hat = self.s_at(t)
+            r = s_hat.re - s
             if abs(r) <= goal:
-                return t
+                return t, s_hat
             t = t - r / self.curve.velocity_norm(t).re
             t = min(max(t, a), b)
         raise QuadratureFailure(f"arc-length inversion did not converge at s = {s!r}")
@@ -213,8 +243,7 @@ class ReparamCurve(DualCurve):
         extra = 1 if u0.du != 0.0 else 0
         n = order + extra
 
-        t_re = self.table.invert_real(u0.re)
-        s_hat = self.table.s_at(t_re)
+        t_re, s_hat = self.table._invert(u0.re)
         speed_re = self.base.velocity_norm(t_re).re
         that0 = DualScalar(t_re, -s_hat.du / speed_re)
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import dualcurves.bertrand as bertrand_module
-from dualcurves import (DualScalar, InvoluteCurve, check_angle_constant,
+from dualcurves import (ArcLengthTable, DualScalar, InvoluteCurve,
+                        check_angle_constant,
                         check_bertrand_pair, check_distance_constant,
                         check_involute_pair, compile_curve, dot,
                         ensure_unit_speed,
@@ -17,7 +18,8 @@ from dualcurves import (DualScalar, InvoluteCurve, check_angle_constant,
 from dualcurves.errors import (CuspPoint, IrregularCurve, NotPlanar,
                                PureDualCurvature)
 from tests.conftest import (CONST_CURVATURE, CONST_CURVATURE_DOMAIN,
-                            CONST_CURVATURE_DUAL, TWO_PI, UNIT_CIRCLE)
+                            CONST_CURVATURE_DUAL, DUAL_CIRCLE, TWO_PI,
+                            UNIT_CIRCLE)
 
 LAMBDA_GRID = [DualScalar(1.0), DualScalar(-1.0), DualScalar(1.0, 1.0),
                DualScalar(-1.0, -1.0), DualScalar(0.5, 2.0)]
@@ -238,6 +240,43 @@ def test_ensure_unit_speed_reparametrizes_probe_blind_curve():
         v = unit.velocity_norm(a + frac * (b - a))
         assert abs(v.re - 1.0) <= 1e-9 and abs(v.du) <= 1e-9
     assert ensure_unit_speed(unit) is unit
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    builds = []
+    init = ArcLengthTable.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ArcLengthTable, "__init__", counted)
+    return builds
+
+
+def test_involute_calls_on_one_base_build_one_table(table_builds):
+    base = compile_curve(DUAL_CIRCLE, (0.0, TWO_PI))
+    c1, c2 = DualScalar(3.0), DualScalar(5.0, 0.5)
+    for s in (0.5, 1.0, 2.0):
+        involute_torsion(base, c1, s)
+    involute(base, c2).position(1.0)
+    check_involute_pair(base, c1, c2, n=4)
+    involute_torsion(base, c2, 1.5)
+    assert len(table_builds) == 1
+
+
+def test_ensure_unit_speed_keeps_one_curve_per_samples(table_builds):
+    base = compile_curve(UNIT_CIRCLE, (0.0, TWO_PI))
+    unit = ensure_unit_speed(base)
+    assert ensure_unit_speed(base) is unit
+    assert ensure_unit_speed(unit) is unit
+    assert len(table_builds) == 1
+    coarse = ensure_unit_speed(base, samples=16)
+    assert coarse is not unit and len(coarse.table.knots) == 16
+    assert ensure_unit_speed(base, samples=16) is coarse
+    assert ensure_unit_speed(base) is unit
+    assert table_builds == [unit.table, coarse.table]
 
 
 def test_involute_tangent_perpendicular_to_base(unit_circle):

@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,3 +214,15 @@ def test_bad_env_tolerance_exit_one():
             env_extra={"DUALCURVE_TOL": "abc"})
     assert r.returncode == 1
     assert "DUALCURVE_TOL" in r.stderr
+
+
+def test_cli_runs_without_scipy():
+    code = "import sys, dualcurves.cli; print('scipy' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+    src = Path(__file__).resolve().parents[1] / "src"
+    scipy_import = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+    assert [p.name for p in src.rglob("*.py")
+            if scipy_import.search(p.read_text(encoding="utf-8"))] == []

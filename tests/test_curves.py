@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualcurves import (ArcLengthTable, arc_length, compile_curve,
-                        reparam_by_arclength)
+from dualcurves import (ArcLengthTable, DualCurve, DualScalar, arc_length,
+                        compile_curve, reparam_by_arclength)
 from dualcurves.errors import IrregularCurve, OutOfDomain
 from tests.conftest import TWO_PI
 
@@ -122,6 +124,49 @@ def test_table_invert_real(dual_helix):
         s = table.s_at(t)
         back = table.invert_real(s.re)
         assert abs(back - t) <= 1e-10
+
+
+# varying real and dual speed, so kept panels and remainders all matter
+CUBIC_DOMAIN = (-1.0, 1.5)
+cubic = compile_curve("[(1 + eps/2)*t, (1 + eps/2)*t^2, t^3/3]", CUBIC_DOMAIN)
+cubic_table = ArcLengthTable(cubic, samples=16)
+CUBIC_MARKS = sorted(set(cubic_table.knots + cubic_table.edges))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.floats(*CUBIC_DOMAIN), st.sampled_from(CUBIC_MARKS)))
+def test_table_s_at_matches_arc_length_and_inverts(t):
+    via = cubic_table.s_at(t)
+    direct = arc_length(cubic, CUBIC_DOMAIN[0], t)
+    assert abs(via.re - direct.re) <= 1e-12
+    assert abs(via.du - direct.du) <= 1e-12
+    assert abs(cubic_table.invert_real(via.re) - t) <= 1e-10
+
+
+def test_table_cumulative_is_running_sum_of_arc_lengths():
+    running = [DualScalar(0.0)]
+    knots = cubic_table.knots
+    for lo, hi in zip(knots, knots[1:]):
+        running.append(running[-1] + arc_length(cubic, lo, hi))
+    bits = [(c.re.hex(), c.du.hex()) for c in running]
+    assert [(c.re.hex(), c.du.hex()) for c in cubic_table.cumulative] == bits
+    assert cubic_table.length == running[-1]
+
+
+def test_table_s_at_is_one_fixed_rule(monkeypatch):
+    calls = []
+    speed = DualCurve.velocity_norm
+
+    def counted(self, t, *args, **kwargs):
+        calls.append(t)
+        return speed(self, t, *args, **kwargs)
+
+    monkeypatch.setattr(DualCurve, "velocity_norm", counted)
+    edges = cubic_table.edges
+    cubic_table.s_at(0.3 * edges[4] + 0.7 * edges[5])
+    assert len(calls) == cubic_table.order
+    cubic_table.s_at(edges[5])
+    assert len(calls) == cubic_table.order
 
 
 def test_reparam_unit_speed_circle_r2():
