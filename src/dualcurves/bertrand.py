@@ -442,7 +442,12 @@ def check_bertrand_pair(alpha: DualCurve, beta: DualCurve,
     us = [pairing(t) for t in ts]
     frames_a = [frenet_at(alpha, t) for t in ts]
     frames_b = [frenet_at(beta, u) for u in us]
+    return _pair_report(ts, us, frames_a, frames_b, tol)
 
+
+def _pair_report(ts, us, frames_a, frames_b, tol) -> BertrandReport:
+    """The four Bertrand criteria from the frames of alpha at ts and of
+    beta at the paired parameters us; see check_bertrand_pair."""
     alignment = []
     for fa, fb in zip(frames_a, frames_b):
         c = cross(fa.N, fb.N)
@@ -503,9 +508,10 @@ def check_involute_pair(alpha: DualCurve, c1, c2,
 
     Verifies planarity of the base (else NotPlanar), constructs both
     involutes on a cusp-free arc-length window, confirms both torsion
-    routes vanish on each involute, and runs the full Bertrand check on
-    the pair.  The expected constant distance |c2 - c1| is asserted as
-    an extra criterion.
+    routes vanish on each involute, and applies the four Bertrand pair
+    criteria.  The expected constant distance |c2 - c1| is asserted as
+    an extra criterion.  All these criteria use one n-point grid on the
+    window, and the involutes pair at equal arc length.
     """
     c1, c2 = as_dual(c1), as_dual(c2)
     plan_tol = max(tol, 1e-9)
@@ -528,18 +534,14 @@ def check_involute_pair(alpha: DualCurve, c1, c2,
     inv1 = InvoluteCurve(unit, c1, domain=window)
     inv2 = InvoluteCurve(unit, c2, domain=window)
 
+    ss = _params(window, n)
+    frames1 = [frenet_at(inv1, s) for s in ss]
+    frames2 = [frenet_at(inv2, s) for s in ss]
     criteria = {}
-    m = min(n, 50)
-    frames = []  # m frames of inv1, then m of inv2
-    for label, inv, c in (("involute1", inv1, c1), ("involute2", inv2, c2)):
-        worst_frenet = 0.0
-        worst_formula = 0.0
-        for s in _params(window, m):
-            frames.append(frenet_at(inv, s))
-            tf = frames[-1].tau
-            worst_frenet = max(worst_frenet, abs(tf.re), abs(tf.du))
-            tq = involute_torsion(unit, c, s)
-            worst_formula = max(worst_formula, abs(tq.re), abs(tq.du))
+    for label, frames, c in (("involute1", frames1, c1), ("involute2", frames2, c2)):
+        worst_frenet = max(max(abs(f.tau.re), abs(f.tau.du)) for f in frames)
+        formula = [involute_torsion(unit, c, s) for s in ss]
+        worst_formula = max(max(abs(q.re), abs(q.du)) for q in formula)
         criteria[f"{label}_torsion_frenet"] = CriterionResult(
             f"{label}_torsion_frenet", worst_frenet <= tol, worst_frenet, tol,
             detail="direct Frenet torsion of the involute")
@@ -547,7 +549,7 @@ def check_involute_pair(alpha: DualCurve, c1, c2,
             f"{label}_torsion_formula", worst_formula <= tol, worst_formula, tol,
             detail="torsion from the base-invariants formula")
 
-    report = check_bertrand_pair(inv1, inv2, n=n, tol=tol)
+    report = _pair_report(ss, ss, frames1, frames2, tol)
     criteria.update(report.criteria)
 
     delta = c2 - c1
@@ -559,8 +561,7 @@ def check_involute_pair(alpha: DualCurve, c1, c2,
     else:
         expected = (DualScalar(0.0) if abs(delta.re) <= PURE_DUAL_TOL
                     else dual_abs(delta))
-        _, _, mean = _distance_criterion([f.position for f in frames[:m]],
-                                         [f.position for f in frames[m:]], tol)
+        _, mean = _deviation(report.distance_samples)
         err = max(abs(mean.re - expected.re), abs(mean.du - expected.du))
         criteria["distance_value"] = CriterionResult(
             "distance_value", err <= RELATION_TOL_FACTOR * tol, err,

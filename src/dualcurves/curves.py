@@ -106,7 +106,8 @@ def _quadrature(curve, t0, t1, order, tol, max_depth=40):
         left = _panel(curve, a, mid, nodes, weights)
         right = _panel(curve, mid, b, nodes, weights)
         refined = left + right
-        if abs(refined.re - whole.re) <= max(tol * (b - a) / span, 1e-16):
+        share = max(tol * (b - a) / span, 1e-16)
+        if abs(refined.re - whole.re) <= share and abs(refined.du - whole.du) <= share:
             total = total + refined
             halves += [(b, right), (mid, left)]
             continue
@@ -123,11 +124,10 @@ def arc_length(curve: DualCurve, t0: float, t1: float, order: int = 16,
     """Dual arc length of the curve over [t0, t1].
 
     Adaptive Gauss-Legendre quadrature of the dual speed: a panel is
-    accepted when bisecting it changes the real part by at most the
-    panel's share of tol.  The dual part is accumulated on the same
-    subdivision.  Raises QuadratureFailure when the subdivision depth
-    exceeds max_depth and IrregularCurve if the speed's real part
-    vanishes at a quadrature node.
+    accepted when bisecting it changes the real part and the dual part
+    each by at most the panel's share of tol.  Raises QuadratureFailure
+    when the subdivision depth exceeds max_depth and IrregularCurve if
+    the speed's real part vanishes at a quadrature node.
     """
     t0, t1 = float(t0), float(t1)
     if t0 > t1:

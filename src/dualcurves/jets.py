@@ -189,10 +189,6 @@ def shift_dual(jets, amount: float):
 # DualVec3 operations at jet level.
 
 
-def jadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def jsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 

@@ -7,7 +7,7 @@ import pytest
 
 import dualcurves.bertrand as bertrand_module
 from dualcurves import (ArcLengthTable, DualScalar, InvoluteCurve,
-                        check_angle_constant,
+                        ReparamCurve, check_angle_constant,
                         check_bertrand_pair, check_distance_constant,
                         check_involute_pair, compile_curve, dot,
                         ensure_unit_speed,
@@ -353,6 +353,72 @@ def test_involute_pair_distance_is_string_difference(dual_circle):
             dist = c
     assert dist is not None and dist.passed
     assert "2" in report.criteria["distance_value"].detail
+
+
+def test_involute_pair_evaluates_unit_base_four_times_per_sample(
+        dual_circle, monkeypatch):
+    ensure_unit_speed(dual_circle)
+    calls = []
+    coord_jets = ReparamCurve.coord_jets
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return coord_jets(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReparamCurve, "coord_jets", counted)
+    report = check_involute_pair(dual_circle, 3, 5, n=4)
+    assert report.passed
+    # two involute frames and two involute_torsion calls at each sample
+    assert len(calls) == 4 * 4
+
+
+# The four plane bases of the involute theorem, each scaled by a dual
+# factor; the string constants exceed the arc length, so the cusp-free
+# window is the whole unit-speed domain.
+PLANE_FAMILIES = {
+    "circle": ("[(1 + eps*0.3)*1.2*cos(t), (1 + eps*0.3)*1.2*sin(t), 0]",
+               (0.0, 5.0)),
+    "logspiral": ("[(1 + eps*0.2)*exp(0.15*t)*cos(t), "
+                  "(1 + eps*0.2)*exp(0.15*t)*sin(t), 0]", (0.0, 5.0)),
+    "cycloid": ("[(1 + eps*0.4)*0.8*(t - sin(t)), "
+                "(1 + eps*0.4)*0.8*(1 - cos(t)), 0]", (0.5, 5.5)),
+    "parabola": ("[(1 + eps*0.25)*t, (1 + eps*0.25)*0.6*t^2, 0]", (-1.5, 1.5)),
+}
+
+
+@pytest.fixture(scope="module")
+def plane_involutes():
+    """Per family: the raw base, its two string constants and the two
+    involutes on the window check_involute_pair uses."""
+    out = {}
+    for kind, (src, domain) in PLANE_FAMILIES.items():
+        base = compile_curve(src, domain)
+        unit = ensure_unit_speed(base)
+        c1 = DualScalar(1.2 * unit.domain[1] + 1.0)
+        c2 = DualScalar(c1.re + 0.7, 0.2)
+        out[kind] = (base, c1, c2, InvoluteCurve(unit, c1, domain=unit.domain),
+                     InvoluteCurve(unit, c2, domain=unit.domain))
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(PLANE_FAMILIES))
+def test_involutes_pair_at_equal_arc_length(kind, plane_involutes):
+    # Why check_involute_pair may pair its involutes at equal s: the
+    # nearest-point pairing returns its seed s exactly on these bases.
+    _, _, _, inv1, inv2 = plane_involutes[kind]
+    pair = nearest_point_pairing(inv1, inv2)
+    for s in bertrand_module._params(inv1.domain, 8):
+        assert pair(s) == s
+
+
+def test_involute_pair_criteria_match_general_check(plane_involutes):
+    base, c1, c2, inv1, inv2 = plane_involutes["logspiral"]
+    report = check_involute_pair(base, c1, c2, n=8, tol=1e-8)
+    general = check_bertrand_pair(inv1, inv2, n=8, tol=1e-8)
+    assert report.passed and general.passed
+    for name in ("normal_alignment", "distance_constant", "angle_constant",
+                 "linear_relation"):
+        assert report.criteria[name] == general.criteria[name]
 
 
 def test_involute_pair_not_planar(unit_helix):

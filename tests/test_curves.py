@@ -94,6 +94,20 @@ def test_arc_length_parametrization_independent():
     assert abs(a.re - b.re) <= 1e-10
 
 
+@pytest.mark.parametrize("w", [40, 80])
+def test_arc_length_controls_dual_part(w):
+    # Unit real speed, so a real-part test alone accepts the first panel;
+    # the dual speed -w*sin(t)*cos(w*t) oscillates underneath it.
+    curve = compile_curve(f"[cos(t) + eps*sin({w}*t), sin(t), 0]", (0.0, 3.0))
+    x, wts = np.polynomial.legendre.leggauss(400)
+    t = 1.5 * (x + 1.0)
+    expected_du = 1.5 * float(np.sum(wts * (-w * np.sin(t) * np.cos(w * t))))
+    for got in (arc_length(curve, 0.0, 3.0),
+                ArcLengthTable(curve, samples=4).length):
+        assert abs(got.re - 3.0) <= 1e-10
+        assert abs(got.du - expected_du) <= 1e-10
+
+
 def test_velocity_norm_flags_irregular_point():
     # speed vanishes at t=0 for the cusp-like parametrization
     cusp = compile_curve("[t^2, t^3, 0]", (-1.0, 1.0))
