@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curves import DualCurve, ReparamCurve, reparam_by_arclength
+from .curves import (_EVAL_ORDER, DualCurve, ReparamCurve, _one_evaluation,
+                     reparam_by_arclength)
 from .dual import PURE_DUAL_TOL, DualScalar, as_dual, dual_abs
 from .errors import (CuspPoint, DegenerateAngle, DegenerateDenominator,
                      IrregularCurve, NotPlanar, PureDualCurvature,
@@ -55,7 +56,7 @@ class OffsetCurve(DualCurve):
         self.lam = as_dual(lam)
 
     def coord_jets(self, t0, order: int):
-        A = self.base.coord_jets(t0, order + 2)
+        A = self.base._jets(t0, order + 2)
         vel = jderiv(A)
         acc = jderiv(vel)
         vel = jtruncate(vel, order)
@@ -181,8 +182,9 @@ def offset_tangent_residual(alpha: DualCurve, lam, t: float) -> tuple[float, flo
     """
     lam = as_dual(lam)
     beta = OffsetCurve(alpha, lam)
-    fa = frenet_at(alpha, t)
-    fb = frenet_at(beta, t)
+    with _one_evaluation():
+        fb = frenet_at(beta, t)
+        fa = frenet_at(alpha, t)
     ratio = fb.speed / fa.speed
     lhs = ratio * fb.T
     one = DualScalar(1.0)
@@ -215,8 +217,9 @@ def nearest_point_pairing(alpha: DualCurve, beta: DualCurve):
     def pair(t: float) -> float:
         p = alpha.position(t)
         u = min(max(t, lo), hi)
-        for _ in range(60):
-            jets = beta.coord_jets(as_dual(u), 2)
+        for k in range(60):
+            # The seed at eval's order, so a mate's frame at u reuses it.
+            jets = beta._jets(as_dual(u), _EVAL_ORDER if k == 0 else 2)
             diff = [j.d0.re - q.re for j, q in zip(jets, p.comps())]
             d1 = [j.d1.re for j in jets]
             d2 = [j.d2.re for j in jets]
@@ -439,9 +442,11 @@ def check_bertrand_pair(alpha: DualCurve, beta: DualCurve,
     """
     pairing = pairing or nearest_point_pairing(alpha, beta)
     ts = _params(alpha.domain, n)
-    us = [pairing(t) for t in ts]
-    frames_a = [frenet_at(alpha, t) for t in ts]
-    frames_b = [frenet_at(beta, u) for u in us]
+    with _one_evaluation():
+        us = [pairing(t) for t in ts]
+        # beta first: an offset's frame evaluates the base that alpha's reuses.
+        frames_b = [frenet_at(beta, u) for u in us]
+        frames_a = [frenet_at(alpha, t) for t in ts]
     return _pair_report(ts, us, frames_a, frames_b, tol)
 
 
@@ -509,11 +514,15 @@ def check_involute_pair(alpha: DualCurve, c1, c2,
     Verifies planarity of the base (else NotPlanar), constructs both
     involutes on a cusp-free arc-length window, confirms both torsion
     routes vanish on each involute, and applies the four Bertrand pair
-    criteria.  The expected constant distance |c2 - c1| is asserted as
-    an extra criterion.  All these criteria use one n-point grid on the
-    window, and the involutes pair at equal arc length.
+    criteria.  The expected constant distance |c2 - c1| is an extra
+    criterion (PureDualVector if c2 - c1 is pure-dual).  All criteria
+    use one n-point grid on the window; the involutes pair at equal s.
     """
     c1, c2 = as_dual(c1), as_dual(c2)
+    delta = c2 - c1
+    if abs(delta.re) <= PURE_DUAL_TOL and abs(delta.du) > PURE_DUAL_TOL:
+        raise PureDualVector(f"string constants c1 = {c1} and c2 = {c2} differ only"
+                             " in the dual part: the involutes' separation is pure-dual")
     plan_tol = max(tol, 1e-9)
     for t in _params(alpha.domain, min(n, 50)):
         tau = frenet_at(alpha, t).tau
@@ -552,20 +561,13 @@ def check_involute_pair(alpha: DualCurve, c1, c2,
     report = _pair_report(ss, ss, frames1, frames2, tol)
     criteria.update(report.criteria)
 
-    delta = c2 - c1
-    if abs(delta.re) <= PURE_DUAL_TOL and abs(delta.du) > PURE_DUAL_TOL:
-        # The separation would be pure-dual; no real distance to compare.
-        criteria["distance_value"] = CriterionResult(
-            "distance_value", True, 0.0, tol, applicable=False,
-            detail="string constants differ only in the dual part")
-    else:
-        expected = (DualScalar(0.0) if abs(delta.re) <= PURE_DUAL_TOL
-                    else dual_abs(delta))
-        _, mean = _deviation(report.distance_samples)
-        err = max(abs(mean.re - expected.re), abs(mean.du - expected.du))
-        criteria["distance_value"] = CriterionResult(
-            "distance_value", err <= RELATION_TOL_FACTOR * tol, err,
-            RELATION_TOL_FACTOR * tol,
-            detail=f"measured {mean}, expected {expected}")
+    expected = (DualScalar(0.0) if abs(delta.re) <= PURE_DUAL_TOL
+                else dual_abs(delta))
+    _, mean = _deviation(report.distance_samples)
+    err = max(abs(mean.re - expected.re), abs(mean.du - expected.du))
+    criteria["distance_value"] = CriterionResult(
+        "distance_value", err <= RELATION_TOL_FACTOR * tol, err,
+        RELATION_TOL_FACTOR * tol,
+        detail=f"measured {mean}, expected {expected}")
 
     return replace(report, criteria=criteria)

@@ -9,6 +9,7 @@ differencing.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 from functools import lru_cache
 from typing import NamedTuple
@@ -19,6 +20,23 @@ from .dual import PURE_DUAL_TOL, DualScalar, as_dual
 from .errors import IrregularCurve, OutOfDomain, QuadratureFailure
 from .jets import Jet, compose, jderiv, jnorm, shift_dual
 from .linalg import DualVec3, norm
+
+
+_EVAL_ORDER = 3
+# (curve, t.re, t.du) -> highest-order jets, inside _one_evaluation only.
+_memo = None
+
+
+@contextlib.contextmanager
+def _one_evaluation():
+    """DualCurve._jets computes each (curve, t) once; nested scopes share one memo."""
+    global _memo
+    outer = _memo
+    _memo = {} if outer is None else outer
+    try:
+        yield
+    finally:
+        _memo = outer
 
 
 class CurvePoint(NamedTuple):
@@ -47,6 +65,16 @@ class DualCurve:
         """Jets of the three coordinates at t0 (a real or dual base point)."""
         raise NotImplementedError
 
+    def _jets(self, t0, order: int) -> tuple[Jet, Jet, Jet]:
+        """coord_jets(t0, order); in _one_evaluation, truncated kept jets."""
+        if _memo is None:
+            return self.coord_jets(t0, order)
+        t = as_dual(t0)
+        kept = _memo.get((self, t.re, t.du))
+        if kept is None or kept[0].order < order:
+            kept = _memo[self, t.re, t.du] = self.coord_jets(t0, order)
+        return tuple(j.truncated(order) for j in kept)
+
     def _check_domain(self, t_re: float) -> None:
         a, b = self._domain
         slack = 1e-9 * (b - a) + 1e-12
@@ -55,12 +83,12 @@ class DualCurve:
 
     def eval(self, t: float) -> CurvePoint:
         """Position and exact first three derivatives at t."""
-        jets = self.coord_jets(as_dual(t), 3)
+        jets = self._jets(as_dual(t), _EVAL_ORDER)
         vecs = [DualVec3(*(j.coeffs[k] for j in jets)) for k in range(4)]
         return CurvePoint(*vecs)
 
     def position(self, t: float) -> DualVec3:
-        jets = self.coord_jets(as_dual(t), 0)
+        jets = self._jets(as_dual(t), 0)
         return DualVec3(*(j.coeffs[0] for j in jets))
 
     def velocity_norm(self, t: float, tol: float = PURE_DUAL_TOL) -> DualScalar:

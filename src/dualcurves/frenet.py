@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .curves import DualCurve, arc_length
 from .dual import PURE_DUAL_TOL, DualScalar, as_dual
-from .errors import PureDualCurvature, PureDualVector
+from .errors import PureDualCurvature, PureDualDivisor, PureDualVector
 from .linalg import DualVec3, cross, det3, dot, norm, normalize
 
 
@@ -48,8 +48,8 @@ def frenet_at(curve: DualCurve, t: float, tol: float = PURE_DUAL_TOL) -> FrenetD
     norm; with any other power the Frenet matrix residuals (see
     frenet_ode_residual) do not vanish.
 
-    Raises PureDualCurvature when d1 x d2 has vanishing real part: the
-    curvature is then pure-dual (or zero) and the frame is undefined.
+    Raises PureDualCurvature when d1 x d2, or a norm or divisor of the
+    frame data, has vanishing real part: the frame is then undefined.
     """
     point = curve.eval(t)
     d1, d2, d3 = point.d1, point.d2, point.d3
@@ -64,7 +64,7 @@ def frenet_at(curve: DualCurve, t: float, tol: float = PURE_DUAL_TOL) -> FrenetD
         tau = det3(d1, d2, d3) / dot(c, c)
         w = d2 - dot(d2, T) * T
         N = normalize(w, tol)
-    except PureDualVector as exc:
+    except (PureDualVector, PureDualDivisor) as exc:
         raise PureDualCurvature(
             f"degenerate frame data at t = {t!r}: {exc}") from exc
     B = cross(T, N)

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualcurves.bertrand as bertrand_module
+import dualcurves.curves as curves_module
 from dualcurves import (ArcLengthTable, DualScalar, InvoluteCurve,
                         ReparamCurve, check_angle_constant,
                         check_bertrand_pair, check_distance_constant,
@@ -15,8 +18,9 @@ from dualcurves import (ArcLengthTable, DualScalar, InvoluteCurve,
                         involute, involute_torsion, nearest_point_pairing,
                         offset_curve, offset_tangent_residual,
                         reparam_by_arclength)
+from dualcurves.dsl import ExprCurve
 from dualcurves.errors import (CuspPoint, IrregularCurve, NotPlanar,
-                               PureDualCurvature)
+                               PureDualCurvature, PureDualVector)
 from tests.conftest import (CONST_CURVATURE, CONST_CURVATURE_DOMAIN,
                             CONST_CURVATURE_DUAL, DUAL_CIRCLE, TWO_PI,
                             UNIT_CIRCLE)
@@ -156,6 +160,48 @@ def test_pair_check_evaluates_each_frame_once(helix_r2, monkeypatch):
     assert len(calls) == 2 * 4
 
 
+@pytest.fixture
+def jet_calls(monkeypatch):
+    """Real coord_jets computations per curve class, memo hits excluded."""
+    calls = {ExprCurve: 0, bertrand_module.OffsetCurve: 0}
+    for cls in calls:
+        def counted(self, *args, _cls=cls, _fn=cls.coord_jets, **kwargs):
+            calls[_cls] += 1
+            return _fn(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "coord_jets", counted)
+    return calls
+
+
+@pytest.mark.parametrize("pairing, expr_calls", [(None, 8), (identity_pairing, 4)])
+def test_pair_check_evaluates_each_curve_once_per_sample(
+        helix_r2, jet_calls, pairing, expr_calls):
+    # The base at orders 0 (pairing position) and 5 (offset frame), the
+    # latter reused for the pairing seed and alpha's frame.
+    beta = offset_curve(helix_r2, DualScalar(1.0, 1.0))
+    report = check_bertrand_pair(helix_r2, beta, n=4, pairing=pairing)
+    assert report.passed
+    assert jet_calls == {ExprCurve: expr_calls, bertrand_module.OffsetCurve: 4}
+
+
+def test_one_evaluation_scope_closes(helix_r2, jet_calls):
+    beta = offset_curve(helix_r2, DualScalar(1.0, 1.0))
+    with curves_module._one_evaluation():
+        memo = curves_module._memo
+        with curves_module._one_evaluation():
+            assert curves_module._memo is memo
+            beta.eval(1.0)
+            helix_r2.position(1.0)
+        assert curves_module._memo is memo and len(memo) == 2
+    assert curves_module._memo is None
+    assert jet_calls == {ExprCurve: 1, bertrand_module.OffsetCurve: 1}
+    check_bertrand_pair(helix_r2, beta, n=4)
+    assert curves_module._memo is None
+    circle2 = compile_curve("[2*cos(t), 2*sin(t), 0]", (0.0, TWO_PI))
+    with pytest.raises(PureDualCurvature):
+        check_bertrand_pair(circle2, offset_curve(circle2, DualScalar(2.0)), n=4)
+    assert curves_module._memo is None
+
+
 def test_angle_constant_on_offset_pair(helix_r2):
     beta = offset_curve(helix_r2, DualScalar(1.0, 1.0))
     result, angles, cosines = check_angle_constant(
@@ -226,6 +272,38 @@ def test_frame_position_and_speed_match_direct_evaluation(
         frame = frenet_at(curve, t)
         assert bits(*frame.position.comps()) == bits(*curve.position(t).comps())
         assert bits(frame.speed) == bits(curve.velocity_norm(t))
+
+
+PREFIX_EXPR = ("[exp((0.3 + eps*0.2)*t)*cos(t), log(2 + t)*sin(t) + eps*atan(t), "
+               "tan(0.4*t) + eps*t^2]")
+
+
+@pytest.fixture(scope="module")
+def prefix_curves(dual_circle_unit):
+    expr = compile_curve(PREFIX_EXPR, (0.0, 2.0))
+    return {"expr": expr,
+            "offset": offset_curve(expr, DualScalar(0.7, 0.4)),
+            "involute": InvoluteCurve(dual_circle_unit, DualScalar(9.0, 0.5)),
+            "reparam": dual_circle_unit}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["expr", "offset", "involute", "reparam"]),
+       frac=st.floats(0.02, 0.98), du=st.sampled_from([0.0, 0.3, -1.25]),
+       top=st.integers(1, 5))
+def test_jets_are_prefix_consistent(prefix_curves, kind, frac, du, top):
+    # What the one-evaluation memo rests on: a lower order is the
+    # truncation of a higher one, bit for bit.
+    curve = prefix_curves[kind]
+    a, b = curve.domain
+    t0 = DualScalar(a + frac * (b - a), du)
+
+    def bits(jets):
+        return [(c.re.hex(), c.du.hex()) for j in jets for c in j.coeffs]
+
+    high = curve.coord_jets(t0, top)
+    for k in range(top):
+        assert bits(curve.coord_jets(t0, k)) == bits(j.truncated(k) for j in high)
 
 
 def test_ensure_unit_speed_reparametrizes_probe_blind_curve():
@@ -425,6 +503,13 @@ def test_involute_pair_not_planar(unit_helix):
     with pytest.raises(NotPlanar):
         check_involute_pair(unit_helix, DualScalar(3.0), DualScalar(5.0),
                             n=12, tol=1e-8)
+
+
+def test_involute_pair_pure_dual_string_difference(dual_circle, monkeypatch):
+    monkeypatch.setattr(bertrand_module, "frenet_at", None)
+    with pytest.raises(PureDualVector, match=r"4\+eps\*0 and c2 = 4\+eps\*0\.3"):
+        check_involute_pair(dual_circle, DualScalar(4.0),
+                            DualScalar(4.0, 0.3), n=8)
 
 
 def test_involute_pair_equal_strings(dual_circle):

@@ -96,6 +96,21 @@ def test_involute_cusp_exit_two():
     assert "CuspPoint" in r.stderr
 
 
+def test_involute_pure_dual_string_difference_exit_two():
+    r = run("involute", "--curve", "[(1 + eps*0.5)*cos(t), (1 + eps*0.5)*sin(t), 0]",
+            "--from", "0", "--to", TWO_PI, "--c", "4", "--c2", "4+eps*0.3")
+    assert r.returncode == 2
+    assert "PureDualVector" in r.stderr
+    assert "c1 = 4+eps*0" in r.stderr and "c2 = 4+eps*0.3" in r.stderr
+
+
+def test_involute_near_cusp_error_names_parameter():
+    r = run("involute", "--curve", CIRCLE, "--from", "0", "--to", "6",
+            "--c", "0.001", "--c2", "5", "--n", "8")
+    assert r.returncode == 2
+    assert "PureDualCurvature" in r.stderr and "t = " in r.stderr
+
+
 def test_study_not_dual_unit_exit_two():
     r = run("study", "to-line", "--re", "1,0,0", "--du", "1,0,0")
     assert r.returncode == 2
