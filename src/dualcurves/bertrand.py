@@ -36,6 +36,8 @@ RELATION_TOL_FACTOR = 10.0
 # the linear-relation criterion is reported as not applicable.
 MIN_RELATION_SIN = 1e-3
 
+WINDOW_MARGIN = 0.05  # share of the shorter involute string kept clear of its cusp
+
 
 def _params(domain, n):
     a, b = domain
@@ -84,20 +86,19 @@ def offset_curve(alpha: DualCurve, lam) -> OffsetCurve:
 class InvoluteCurve(DualCurve):
     """The involute beta(s) = alpha(s) + (c - s) * T(s) of a unit-speed base.
 
-    Evaluation raises CuspPoint when c.re - s is not positive: the
+    Evaluation raises CuspPoint where c.re - s <= PURE_DUAL_TOL (1e-9): the
     involute has a cusp where the unwound string length vanishes.
     """
 
-    def __init__(self, base: DualCurve, c, domain=None, cusp_tol: float = 1e-9):
+    def __init__(self, base: DualCurve, c, domain=None):
         super().__init__(domain if domain is not None else base.domain)
         self.base = base
         self.c = as_dual(c)
-        self.cusp_tol = cusp_tol
 
     def coord_jets(self, t0, order: int):
         s0 = as_dual(t0)
         self._check_domain(s0.re)
-        if self.c.re - s0.re <= self.cusp_tol:
+        if self.c.re - s0.re <= PURE_DUAL_TOL:
             raise CuspPoint(
                 f"involute cusp: c - s = {self.c.re - s0.re!r} at s = {s0.re!r}")
         A = self.base.coord_jets(s0, order + 1)
@@ -135,14 +136,13 @@ def involute(alpha: DualCurve, c, samples: int = 64) -> InvoluteCurve:
     return InvoluteCurve(ensure_unit_speed(alpha, samples=samples), as_dual(c))
 
 
-def involute_torsion(alpha: DualCurve, c, s: float,
-                     tol: float = PURE_DUAL_TOL) -> DualScalar:
+def involute_torsion(alpha: DualCurve, c, s: float) -> DualScalar:
     """Torsion of the involute, from the base curve's invariants alone:
 
         (kappa*tau' - kappa'*tau) / (kappa * (c - s) * (kappa^2 + tau^2))
 
-    with ' the arc-length derivative.  This is an independent route to
-    the same number frenet_at produces on the constructed involute.
+    with ' the arc-length derivative: an independent route to the number
+    frenet_at gives on the involute.  Real parts <= PURE_DUAL_TOL are zero.
     """
     unit = ensure_unit_speed(alpha)
     c = as_dual(c)
@@ -152,7 +152,7 @@ def involute_torsion(alpha: DualCurve, c, s: float,
     d3 = jtruncate(jderiv(d2), 1)
     d1, d2 = jtruncate(d1, 1), jtruncate(d2, 1)
     cv = jcross(d1, d2)
-    if abs(cv[0].d0.re) <= tol and abs(cv[1].d0.re) <= tol and abs(cv[2].d0.re) <= tol:
+    if max(abs(v.d0.re) for v in cv) <= PURE_DUAL_TOL:
         raise PureDualCurvature(f"curvature has no real part at s = {s!r}")
     speed = jnorm(d1)
     kappa_jet = jnorm(cv) / speed**3
@@ -160,13 +160,13 @@ def involute_torsion(alpha: DualCurve, c, s: float,
     kappa, tau = kappa_jet.d0, tau_jet.d0
     dkappa = kappa_jet.d1 / speed.d0
     dtau = tau_jet.d1 / speed.d0
-    if abs(kappa.re) <= tol:
+    if abs(kappa.re) <= PURE_DUAL_TOL:
         raise PureDualCurvature(f"pure-dual curvature at s = {s!r}")
     string = c - as_dual(s)
-    if abs(string.re) <= tol:
+    if abs(string.re) <= PURE_DUAL_TOL:
         raise CuspPoint(f"c - s is pure-dual at s = {s!r}")
     sq = kappa * kappa + tau * tau
-    if abs(sq.re) <= tol:
+    if abs(sq.re) <= PURE_DUAL_TOL:
         raise DegenerateDenominator(
             f"kappa^2 + tau^2 has no real part at s = {s!r}")
     return (kappa * dtau - dkappa * tau) / (kappa * string * sq)
@@ -506,24 +506,24 @@ def _pair_report(ts, us, frames_a, frames_b, tol) -> BertrandReport:
     )
 
 
-def check_involute_pair(alpha: DualCurve, c1, c2,
-                        n: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL,
-                        window_margin: float = 0.05) -> BertrandReport:
+def check_involute_pair(alpha: DualCurve, c1, c2, n: int = DEFAULT_SAMPLES,
+                        tol: float = DEFAULT_TOL) -> BertrandReport:
     """Two involutes of a plane dual curve form a Bertrand pair.
 
     Verifies planarity of the base (else NotPlanar), constructs both
-    involutes on a cusp-free arc-length window, confirms both torsion
-    routes vanish on each involute, and applies the four Bertrand pair
-    criteria.  The expected constant distance |c2 - c1| is an extra
-    criterion (PureDualVector if c2 - c1 is pure-dual).  All criteria
-    use one n-point grid on the window; the involutes pair at equal s.
+    involutes on an arc-length window that stops WINDOW_MARGIN (5 %) of
+    the shorter string short of its cusp, confirms both torsion routes
+    vanish on each involute, and applies the four Bertrand pair criteria.
+    The expected constant distance |c2 - c1| is an extra criterion
+    (PureDualVector if c2 - c1 is pure-dual).  All criteria use one
+    n-point grid on the window; the involutes pair at equal s.
     """
     c1, c2 = as_dual(c1), as_dual(c2)
     delta = c2 - c1
     if abs(delta.re) <= PURE_DUAL_TOL and abs(delta.du) > PURE_DUAL_TOL:
         raise PureDualVector(f"string constants c1 = {c1} and c2 = {c2} differ only"
                              " in the dual part: the involutes' separation is pure-dual")
-    plan_tol = max(tol, 1e-9)
+    plan_tol = max(tol, PURE_DUAL_TOL)
     for t in _params(alpha.domain, min(n, 50)):
         tau = frenet_at(alpha, t).tau
         if abs(tau.re) > plan_tol or abs(tau.du) > plan_tol:
@@ -534,7 +534,7 @@ def check_involute_pair(alpha: DualCurve, c1, c2,
     unit = ensure_unit_speed(alpha)
     length = unit.domain[1] - unit.domain[0]
     c_min = min(c1.re, c2.re)
-    margin = max(window_margin * max(c_min, 0.0), 1e-6)
+    margin = max(WINDOW_MARGIN * max(c_min, 0.0), 1e-6)
     hi = min(length, c_min - margin)
     if hi <= 0.0:
         raise CuspPoint(

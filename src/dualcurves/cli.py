@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json as _json
+import math
 import os
 import re
 import sys
@@ -153,19 +154,26 @@ def _dual_value(text: str, flag: str):
         raise AssertionError
 
 
+def _finite(value: float, flag: str) -> float:
+    """float() accepts inf and nan; no flag does."""
+    if not math.isfinite(value):
+        _fail_usage(f"{flag} must be a finite number, got {value!r}")
+    return value
+
+
 def _vector(text: str, flag: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != 3:
         _fail_usage(f"{flag} expects three comma-separated numbers, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        return [_finite(float(p), flag) for p in parts]
     except ValueError:
         _fail_usage(f"{flag} expects numbers, got {text!r}")
     raise AssertionError
 
 
 def _get_range(args) -> tuple[float, float]:
-    t0, t1 = args.t_from, args.t_to
+    t0, t1 = _finite(args.t_from, "--from"), _finite(args.t_to, "--to")
     if not (t0 < t1):
         _fail_usage(f"--from must be below --to, got {t0!r} and {t1!r}")
     return t0, t1
@@ -178,9 +186,9 @@ def _get_n(args, minimum: int = 2) -> int:
 
 
 def _get_tol(args) -> float:
-    tol = getattr(args, "tol", None)
+    tol, source = getattr(args, "tol", None), "--tol"
     if tol is None:
-        env = os.environ.get("DUALCURVE_TOL")
+        env, source = os.environ.get("DUALCURVE_TOL"), "DUALCURVE_TOL"
         if env is not None:
             try:
                 tol = float(env)
@@ -190,7 +198,7 @@ def _get_tol(args) -> float:
             tol = DEFAULT_TOL
     if not tol > 0:
         _fail_usage(f"tolerance must be positive, got {tol!r}")
-    return tol
+    return _finite(tol, source)
 
 
 def _grid(t0: float, t1: float, n: int) -> list[float]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import math
-from functools import lru_cache
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +22,9 @@ from .jets import Jet, compose, jderiv, jnorm, shift_dual
 from .linalg import DualVec3, norm
 
 
+# The one arc-length rule; arc_length and invert_real state it.
+_GAUSS_ORDER, _PANEL_TOL, _PANEL_FLOOR, _MAX_DEPTH = 16, 1e-10, 1e-16, 40
+_INVERT_TOL, _INVERT_STEPS = 1e-12, 50
 _EVAL_ORDER = 3
 # (curve, t.re, t.du) -> highest-order jets, inside _one_evaluation only.
 _memo = None
@@ -91,20 +94,20 @@ class DualCurve:
         jets = self._jets(as_dual(t), 0)
         return DualVec3(*(j.coeffs[0] for j in jets))
 
-    def velocity_norm(self, t: float, tol: float = PURE_DUAL_TOL) -> DualScalar:
+    def velocity_norm(self, t: float) -> DualScalar:
         """Dual speed ||alpha'(t)||; raises IrregularCurve if its real part
-        is below tol."""
+        is at most PURE_DUAL_TOL (1e-9)."""
         jets = self.coord_jets(as_dual(t), 1)
         d1 = [j.d1 for j in jets]
         speed_re = math.sqrt(sum(c.re * c.re for c in d1))
-        if speed_re <= tol:
+        if speed_re <= PURE_DUAL_TOL:
             raise IrregularCurve(f"curve speed vanishes at t = {t!r}")
-        return norm(DualVec3(*d1), tol)
+        return norm(DualVec3(*d1))
 
 
-@lru_cache(maxsize=None)
-def _gauss_rule(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+@cache  # built on first use: computing it at import loads numpy.polynomial
+def _gauss_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
     return tuple(nodes), tuple(weights)
 
 
@@ -116,15 +119,15 @@ def _panel(curve, a, b, nodes, weights) -> DualScalar:
     return half * total
 
 
-def _quadrature(curve, t0, t1, order, tol, max_depth=40):
+def _quadrature(curve, t0, t1):
     """Adaptive quadrature of the dual speed over [t0, t1] (see arc_length).
 
     Returns the total and the accepted half-panels as (right end, value),
     in the order the subdivision accepts them, which runs right to left.
     """
-    nodes, weights = _gauss_rule(order)
+    nodes, weights = _gauss_rule()
     span = t1 - t0
-    min_width = span / 2.0**max_depth
+    min_width = span / 2.0**_MAX_DEPTH
     total = DualScalar(0.0)
     halves = []
     stack = [(t0, t1, _panel(curve, t0, t1, nodes, weights))]
@@ -134,7 +137,7 @@ def _quadrature(curve, t0, t1, order, tol, max_depth=40):
         left = _panel(curve, a, mid, nodes, weights)
         right = _panel(curve, mid, b, nodes, weights)
         refined = left + right
-        share = max(tol * (b - a) / span, 1e-16)
+        share = max(_PANEL_TOL * (b - a) / span, _PANEL_FLOOR)
         if abs(refined.re - whole.re) <= share and abs(refined.du - whole.du) <= share:
             total = total + refined
             halves += [(b, right), (mid, left)]
@@ -147,14 +150,13 @@ def _quadrature(curve, t0, t1, order, tol, max_depth=40):
     return total, halves
 
 
-def arc_length(curve: DualCurve, t0: float, t1: float, order: int = 16,
-               tol: float = 1e-10, max_depth: int = 40) -> DualScalar:
+def arc_length(curve: DualCurve, t0: float, t1: float) -> DualScalar:
     """Dual arc length of the curve over [t0, t1].
 
-    Adaptive Gauss-Legendre quadrature of the dual speed: a panel is
-    accepted when bisecting it changes the real part and the dual part
-    each by at most the panel's share of tol.  Raises QuadratureFailure
-    when the subdivision depth exceeds max_depth and IrregularCurve if
+    Adaptive 16-point Gauss-Legendre quadrature of the dual speed: a panel is
+    accepted when bisecting it changes the real part and the dual part each
+    by at most the panel's share of 1e-10 (never below 1e-16).  Raises
+    QuadratureFailure past 40 levels of subdivision and IrregularCurve if
     the speed's real part vanishes at a quadrature node.
     """
     t0, t1 = float(t0), float(t1)
@@ -164,7 +166,7 @@ def arc_length(curve: DualCurve, t0: float, t1: float, order: int = 16,
     curve._check_domain(t1)
     if t0 == t1:
         return DualScalar(0.0)
-    return _quadrature(curve, t0, t1, order, tol, max_depth)[0]
+    return _quadrature(curve, t0, t1)[0]
 
 
 class ArcLengthTable:
@@ -174,26 +176,25 @@ class ArcLengthTable:
     accepted: `edges` are their end points in increasing order and
     `edge_lengths` the cumulative dual length at each.  The cumulative
     length at any parameter is the value at the nearest edge plus one
-    fixed Gauss-Legendre rule over the remainder; the real part is
+    16-point Gauss-Legendre rule over the remainder; the real part is
     inverted by a seed interpolated between edges, refined with Newton
-    iteration.
+    iteration.  The panels are arc_length's, accepted at 1e-10.
     """
 
-    def __init__(self, curve: DualCurve, samples: int = 64,
-                 order: int = 16, tol: float = 1e-10):
+    order = _GAUSS_ORDER
+
+    def __init__(self, curve: DualCurve, samples: int = 64):
         if samples < 2:
             raise ValueError("need at least two knots")
         a, b = curve.domain
         self.curve = curve
-        self.order = order
-        self.tol = tol
         self.knots = [a + (b - a) * i / (samples - 1) for i in range(samples)]
         for knot in self.knots:
             curve.velocity_norm(knot)
         cumulative = [DualScalar(0.0)]
         edges, edge_lengths = [self.knots[0]], [cumulative[0]]
         for lo, hi in zip(self.knots, self.knots[1:]):
-            total, halves = _quadrature(curve, lo, hi, order, tol)
+            total, halves = _quadrature(curve, lo, hi)
             s = cumulative[-1]
             for end, value in reversed(halves):
                 s = s + value
@@ -222,15 +223,15 @@ class ArcLengthTable:
             i -= 1
         if t == edges[i]:
             return self.edge_lengths[i]
-        nodes, weights = _gauss_rule(self.order)
+        nodes, weights = _gauss_rule()
         return self.edge_lengths[i] + _panel(self.curve, edges[i], t, nodes, weights)
 
-    def invert_real(self, s: float, tol: float = 1e-12, max_iter: int = 50) -> float:
-        """Parameter t with real arc length s, by interpolated seed + Newton."""
-        return self._invert(s, tol, max_iter)[0]
+    def invert_real(self, s: float) -> float:
+        """Parameter t with real arc length s, by interpolated seed + Newton:
+        to 1e-12 of max(1, length) in at most 50 steps."""
+        return self._invert(s)[0]
 
-    def _invert(self, s: float, tol: float = 1e-12,
-                max_iter: int = 50) -> tuple[float, DualScalar]:
+    def _invert(self, s: float) -> tuple[float, DualScalar]:
         """invert_real's t, with s_at(t) from its last residual check."""
         a, b = self.curve.domain
         total = self.cumulative[-1].re
@@ -240,8 +241,8 @@ class ArcLengthTable:
         s = min(max(s, 0.0), total)
         t = float(np.interp(s, self._seed_s, self.edges))
         t = min(max(t, a), b)
-        goal = tol * max(1.0, total)
-        for _ in range(max_iter):
+        goal = _INVERT_TOL * max(1.0, total)
+        for _ in range(_INVERT_STEPS):
             s_hat = self.s_at(t)
             r = s_hat.re - s
             if abs(r) <= goal:
@@ -256,13 +257,13 @@ class ReparamCurve(DualCurve):
 
     The parameter map sends s to a dual base point t + eps*t_du chosen so
     the composed curve has dual speed exactly 1 + eps*0: the real part
-    inverts the real arc length, and the dual correction cancels the dual
-    part of the cumulative length.
+    inverts the real arc length (ArcLengthTable.invert_real, to 1e-12), and
+    the dual correction cancels the dual part of the cumulative length.
     """
 
-    def __init__(self, base: DualCurve, samples: int = 64, tol: float = 1e-10):
+    def __init__(self, base: DualCurve, samples: int = 64):
         self.base = base
-        self.table = ArcLengthTable(base, samples=samples, tol=tol)
+        self.table = ArcLengthTable(base, samples=samples)
         super().__init__((0.0, self.table.length.re))
 
     def coord_jets(self, t0, order: int):
@@ -293,7 +294,6 @@ class ReparamCurve(DualCurve):
         return out
 
 
-def reparam_by_arclength(curve: DualCurve, samples: int = 64,
-                         tol: float = 1e-10) -> ReparamCurve:
-    """Reparametrize so the dual speed is identically 1 + eps*0."""
-    return ReparamCurve(curve, samples=samples, tol=tol)
+def reparam_by_arclength(curve: DualCurve, samples: int = 64) -> ReparamCurve:
+    """Reparametrize so the dual speed is identically 1 + eps*0 (arc_length's rule)."""
+    return ReparamCurve(curve, samples=samples)

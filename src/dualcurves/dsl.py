@@ -17,6 +17,7 @@ so compiled curves have derivatives exact to round-off.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Union
@@ -200,8 +201,12 @@ class _Parser:
     def parse_primary(self) -> Node:
         kind, text, offset = self.peek()
         if kind == "num":
+            value = float(text)
+            if not math.isfinite(value):
+                raise _error(self.src, offset, f"number {text} overflows a float",
+                             ("finite number",))
             self.advance()
-            return Num(float(text), offset)
+            return Num(value, offset)
         if kind == "ident":
             self.advance()
             if text == "t" or text == "eps":

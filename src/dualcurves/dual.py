@@ -131,7 +131,10 @@ def div(x: DualScalar, y: DualScalar, tol: float = PURE_DUAL_TOL) -> DualScalar:
     if abs(y.re) <= tol:
         raise PureDualDivisor(f"divisor {y} has (numerically) zero real part")
     re = x.re / y.re
-    return DualScalar(re, (x.du * y.re - x.re * y.du) / (y.re * y.re))
+    yy = y.re * y.re
+    if yy == math.inf:  # |y.re| > 1.3e154: the quotient rule's b**2 overflows
+        return DualScalar(re, (x.du - re * y.du) / y.re)
+    return DualScalar(re, (x.du * y.re - x.re * y.du) / yy)
 
 
 def is_pure_dual(x: DualScalar, tol: float = PURE_DUAL_TOL) -> bool:
@@ -243,32 +246,37 @@ def _zip_pad(p, q):
 
 
 def derivative_table(name: str, a: float, n: int) -> list[float]:
-    """Values of f and its first n derivatives at the real point a."""
-    if name == "sin":
-        cycle = (math.sin(a), math.cos(a), -math.sin(a), -math.cos(a))
-        return [cycle[k % 4] for k in range(n + 1)]
-    if name == "cos":
-        cycle = (math.cos(a), -math.sin(a), -math.cos(a), math.sin(a))
-        return [cycle[k % 4] for k in range(n + 1)]
-    if name == "exp":
-        e = math.exp(a)
-        return [e] * (n + 1)
-    if name == "sqrt":
-        if a <= 0.0:
-            raise DomainError(f"sqrt requires a positive real part, got {a!r}")
-        out = [math.sqrt(a)]
-        for k in range(n):
-            out.append(out[-1] * (0.5 - k) / a)
-        return out
-    if name == "log":
-        if a <= 0.0:
-            raise DomainError(f"log requires a positive real part, got {a!r}")
-        out = [math.log(a)]
-        for k in range(1, n + 1):
-            out.append((-1.0) ** (k - 1) * math.factorial(k - 1) / a**k)
-        return out
-    if name == "tan":
-        return _tan_derivs(a, n)
-    if name == "atan":
-        return _atan_derivs(a, n)
+    """Values of f and its first n derivatives at the real point a; raises
+    NonFiniteError where the arithmetic overflows or divides by zero."""
+    try:
+        if name == "sin":
+            cycle = (math.sin(a), math.cos(a), -math.sin(a), -math.cos(a))
+            return [cycle[k % 4] for k in range(n + 1)]
+        if name == "cos":
+            cycle = (math.cos(a), -math.sin(a), -math.cos(a), math.sin(a))
+            return [cycle[k % 4] for k in range(n + 1)]
+        if name == "exp":
+            e = math.exp(a)
+            return [e] * (n + 1)
+        if name == "sqrt":
+            if a <= 0.0:
+                raise DomainError(f"sqrt requires a positive real part, got {a!r}")
+            out = [math.sqrt(a)]
+            for k in range(n):
+                out.append(out[-1] * (0.5 - k) / a)
+            return out
+        if name == "log":
+            if a <= 0.0:
+                raise DomainError(f"log requires a positive real part, got {a!r}")
+            out = [math.log(a)]
+            for k in range(1, n + 1):
+                out.append((-1.0) ** (k - 1) * math.factorial(k - 1) / a**k)
+            return out
+        if name == "tan":
+            return _tan_derivs(a, n)
+        if name == "atan":
+            return _atan_derivs(a, n)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NonFiniteError(
+            f"{name} derivatives are not finite at a = {a!r}: {exc}") from exc
     raise DomainError(f"unknown analytic function {name!r}")

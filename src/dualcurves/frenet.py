@@ -35,7 +35,7 @@ class FrenetData:
         }
 
 
-def frenet_at(curve: DualCurve, t: float, tol: float = PURE_DUAL_TOL) -> FrenetData:
+def frenet_at(curve: DualCurve, t: float) -> FrenetData:
     """Frenet frame, curvature and torsion of the curve at t.
 
     T is the normalized velocity; N comes from Gram-Schmidt of the
@@ -49,21 +49,21 @@ def frenet_at(curve: DualCurve, t: float, tol: float = PURE_DUAL_TOL) -> FrenetD
     frenet_ode_residual) do not vanish.
 
     Raises PureDualCurvature when d1 x d2, or a norm or divisor of the
-    frame data, has vanishing real part: the frame is then undefined.
+    frame data, has real part <= PURE_DUAL_TOL (1e-9): the frame is undefined.
     """
     point = curve.eval(t)
     d1, d2, d3 = point.d1, point.d2, point.d3
     c = cross(d1, d2)
-    if max(abs(v.re) for v in c.comps()) <= tol:
+    if max(abs(v.re) for v in c.comps()) <= PURE_DUAL_TOL:
         raise PureDualCurvature(
             f"curvature has no real part at t = {t!r}; frame undefined")
     try:
-        speed = norm(d1, tol)
-        T = normalize(d1, tol)
-        kappa = norm(c, tol) / speed**3
+        speed = norm(d1)
+        T = normalize(d1)
+        kappa = norm(c) / speed**3
         tau = det3(d1, d2, d3) / dot(c, c)
         w = d2 - dot(d2, T) * T
-        N = normalize(w, tol)
+        N = normalize(w)
     except (PureDualVector, PureDualDivisor) as exc:
         raise PureDualCurvature(
             f"degenerate frame data at t = {t!r}: {exc}") from exc

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .dual import DualScalar, as_dual, derivative_table, div
+from .dual import PURE_DUAL_TOL, DualScalar, as_dual, derivative_table, div
 from .errors import PureDualVector
 
 _ZERO = DualScalar(0.0)
@@ -217,13 +217,13 @@ def jcross(u, v):
     )
 
 
-def jnorm(u, tol: float = 1e-9) -> Jet:
+def jnorm(u) -> Jet:
     sq = jdot(u, u)
-    if sq.d0.re <= tol * tol:
+    if sq.d0.re <= PURE_DUAL_TOL * PURE_DUAL_TOL:
         raise PureDualVector("norm of a jet vector with zero real part")
     return sq.apply("sqrt")
 
 
-def jnormalize(u, tol: float = 1e-9):
-    n = jnorm(u, tol)
+def jnormalize(u):
+    n = jnorm(u)
     return tuple(c / n for c in u)

@@ -32,18 +32,18 @@ def _as_vec(value) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OrientedLine:
-    """A line of E^3 with a direction; moment = point x direction."""
+    """A line of E^3: unit direction, moment = point x direction (to 1e-9, UNIT_TOL)."""
 
     direction: np.ndarray
     moment: np.ndarray
 
-    def __init__(self, direction, moment, tol: float = UNIT_TOL):
+    def __init__(self, direction, moment):
         d = _as_vec(direction)
         m = _as_vec(moment)
-        if abs(np.linalg.norm(d) - 1.0) > tol:
+        if abs(np.linalg.norm(d) - 1.0) > UNIT_TOL:
             raise NotUnit(
                 f"line direction must be unit, |d| = {float(np.linalg.norm(d)):.17g}")
-        if abs(float(d @ m)) > tol:
+        if abs(float(d @ m)) > UNIT_TOL:
             raise NotDualUnit(
                 f"moment must be orthogonal to direction, <d,m> = {float(d @ m):.17g}")
         object.__setattr__(self, "direction", d)
@@ -78,15 +78,15 @@ def to_dual_unit(line: OrientedLine) -> DualVec3:
     return DualVec3.from_arrays(line.direction, line.moment)
 
 
-def from_dual_unit(v: DualVec3, tol: float = UNIT_TOL) -> OrientedLine:
-    """The oriented line of a dual unit vector (inverse of to_dual_unit)."""
+def from_dual_unit(v: DualVec3) -> OrientedLine:
+    """The line of a dual unit vector, to UNIT_TOL = 1e-9 (inverse of to_dual_unit)."""
     a = v.re
     m = v.du
-    if abs(np.linalg.norm(a) - 1.0) > tol or abs(float(a @ m)) > tol:
+    if abs(np.linalg.norm(a) - 1.0) > UNIT_TOL or abs(float(a @ m)) > UNIT_TOL:
         raise NotDualUnit(
             f"not a dual unit vector: |re| = {float(np.linalg.norm(a)):.17g}, "
             f"<re,du> = {float(a @ m):.17g}")
-    return OrientedLine(a, m, tol=tol)
+    return OrientedLine(a, m)
 
 
 def line_dual_angle(l1: OrientedLine, l2: OrientedLine) -> DualAngle:

@@ -111,6 +111,42 @@ def test_involute_near_cusp_error_names_parameter():
     assert "PureDualCurvature" in r.stderr and "t = " in r.stderr
 
 
+@pytest.mark.parametrize("args,env", [
+    (("sample", "--curve", "[t, t, t]", "--from", "0", "--to", "inf", "--n", "3"), None),
+    (("study", "to-dual", "--point", "inf,0,0", "--dir", "1,0,0"), None),
+    (("study", "to-line", "--re", "nan,0,0", "--du", "0,0,0"), None),
+    (("bertrand", "check", "--curve", HELIX, "--lambda", "0.5", "--from", "0",
+      "--to", "6", "--n", "4", "--tol", "inf"), None),
+    (("bertrand", "check", "--curve", HELIX, "--lambda", "0.5", "--from", "0",
+      "--to", "6", "--n", "4"), {"DUALCURVE_TOL": "inf"}),
+], ids=["range", "point", "re", "tol", "env_tol"])
+def test_non_finite_numbers_are_usage_errors(args, env):
+    r = run(*args, env_extra=env)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert "dualcurve: error:" in r.stderr and "finite" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("sample", "--curve", "[1e999*t, t, t]", "--from", "0", "--to", "1", "--n", "2"),
+    ("involute", "--curve", CIRCLE, "--c", "1e999", "--from", "0", "--to", "1"),
+], ids=["curve", "string_constant"])
+def test_overflowing_literal_is_parse_error(args):
+    r = run(*args)
+    assert r.returncode == 1
+    assert "parse error: number 1e999 overflows a float" in r.stderr
+    assert "^" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_derivative_overflow_exit_two_names_parameter():
+    r = run("frenet", "--curve", "[exp(t), t, 0]", "--from", "799", "--to", "801",
+            "--n", "2")
+    assert r.returncode == 2
+    assert "error at t = 799: NonFiniteError" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_study_not_dual_unit_exit_two():
     r = run("study", "to-line", "--re", "1,0,0", "--du", "1,0,0")
     assert r.returncode == 2

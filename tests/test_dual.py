@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcurves import (ANALYTIC_FUNCTIONS, DualScalar, apply_analytic,
-                        derivative_table, div, dual_abs, is_pure_dual)
+from dualcurves import (ANALYTIC_FUNCTIONS, DualScalar, apply_analytic, compile_curve,
+                        derivative_table, div, dual_abs, frenet_at, is_pure_dual)
 from dualcurves.errors import DomainError, NonFiniteError, PureDualDivisor
 
 EPS = DualScalar(0.0, 1.0)
@@ -42,6 +42,14 @@ def test_div_worked():
 def test_div_by_self():
     x = DualScalar(0.7, -3.2)
     close(div(x, x), 1.0, 0.0)
+
+
+def test_div_by_huge_keeps_dual_part():
+    # b**2 overflows for |b| > 1.3e154; the dual part must not collapse to 0
+    got = div(DualScalar(0.0, 1.0), DualScalar(1e168, 2e160))
+    close(got, 0.0, 1e-168)
+    got = div(DualScalar(3e168, 1.0), DualScalar(1e168, 2e160))
+    close(got, 3.0, 1e-168 - 6e-8, tol=1e-22)
 
 
 def test_pure_dual_divisor():
@@ -160,6 +168,17 @@ def test_derivative_table_matches_per_order():
     assert abs(sin_t[2] + math.sin(0.4)) < 1e-15
     assert abs(sin_t[3] + math.cos(0.4)) < 1e-15
     assert abs(sin_t[4] - math.sin(0.4)) < 1e-15
+
+
+@pytest.mark.parametrize("src,t,domain", [
+    ("[exp(t), t, 0]", 800.0, (799.0, 801.0)),
+    ("[log(exp(t)), t, 0]", 400.0, (399.0, 401.0)),
+    ("[log(t), t, 0]", 1e-170, (0.0, 1.0)),
+    ("[atan(t), t, 0]", 1e120, (0.0, 2e120)),
+], ids=["exp_overflow", "log_power_overflow", "log_zero_division", "atan_overflow"])
+def test_derivative_table_arithmetic_errors_are_non_finite(src, t, domain):
+    with pytest.raises(NonFiniteError, match=r"derivatives are not finite at a = "):
+        frenet_at(compile_curve(src, domain), t)
 
 
 def test_str_roundtrip_form():
