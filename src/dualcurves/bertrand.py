@@ -21,8 +21,7 @@ from .errors import (CuspPoint, DegenerateAngle, DegenerateDenominator,
                      IrregularCurve, NotPlanar, PureDualCurvature,
                      PureDualVector, Underdetermined)
 from .frenet import frenet_at
-from .jets import (Jet, jcross, jderiv, jdot, jnorm, jnormalize, jscale,
-                   jsub, jtruncate)
+from .jets import Jet, jderiv, jnorm, jnormalize, jtruncate
 from .linalg import DualAngle, DualVec3, cross, dot, dual_angle, norm
 
 DEFAULT_TOL = 1e-8
@@ -44,6 +43,16 @@ def _params(domain, n):
     return [a + (b - a) * (i + 0.5) / n for i in range(n)]
 
 
+def _unit_tangent(A, order: int, label: str, param: str, t0):
+    """Jets of the unit tangent, to order, from base jets A of order + 1
+    or more; IrregularCurve where the base velocity has no real part."""
+    try:
+        return jnormalize(jtruncate(jderiv(A), order))
+    except PureDualVector as exc:
+        raise IrregularCurve(
+            f"{label} base is irregular near {param} = {as_dual(t0).re!r}") from exc
+
+
 class OffsetCurve(DualCurve):
     """The normal offset beta(t) = alpha(t) + lam * N(t).
 
@@ -59,17 +68,10 @@ class OffsetCurve(DualCurve):
 
     def coord_jets(self, t0, order: int):
         A = self.base._jets(t0, order + 2)
-        vel = jderiv(A)
-        acc = jderiv(vel)
-        vel = jtruncate(vel, order)
+        T = _unit_tangent(A, order, "offset", "t", t0)
+        acc = jderiv(jderiv(A))
         try:
-            T = jnormalize(vel)
-        except PureDualVector as exc:
-            raise IrregularCurve(
-                f"offset base is irregular near t = {as_dual(t0).re!r}") from exc
-        try:
-            w = jsub(acc, jscale(T, jdot(acc, T)))
-            N = jnormalize(w)
+            N = jnormalize(acc - T * dot(acc, T))
         except PureDualVector as exc:
             raise PureDualCurvature(
                 "offset undefined where the base curvature has no real part"
@@ -102,12 +104,7 @@ class InvoluteCurve(DualCurve):
             raise CuspPoint(
                 f"involute cusp: c - s = {self.c.re - s0.re!r} at s = {s0.re!r}")
         A = self.base.coord_jets(s0, order + 1)
-        vel = jtruncate(jderiv(A), order)
-        try:
-            T = jnormalize(vel)
-        except PureDualVector as exc:
-            raise IrregularCurve(
-                f"involute base is irregular near s = {s0.re!r}") from exc
+        T = _unit_tangent(A, order, "involute", "s", s0)
         string = [self.c - s0] + [DualScalar(0.0)] * order
         if order >= 1:
             string[1] = DualScalar(-1.0)
@@ -115,25 +112,24 @@ class InvoluteCurve(DualCurve):
         return tuple(a.truncated(order) + t * f for a, t in zip(A, T))
 
 
-def ensure_unit_speed(curve: DualCurve, samples: int = 64) -> DualCurve:
+def ensure_unit_speed(curve: DualCurve) -> DualCurve:
     """The curve itself if it is a ReparamCurve, else its arc-length
     reparametrization: no finite set of speed probes proves unit speed.
 
-    The reparametrization is built once per curve object and samples
-    value, kept on the curve, and returned again on later calls.
+    The reparametrization is built once per curve object, kept on the
+    curve, and returned again on later calls.
     """
     if isinstance(curve, ReparamCurve):
         return curve
-    built = vars(curve).setdefault("_unit_speed", {})
-    if samples not in built:
-        built[samples] = reparam_by_arclength(curve, samples=samples)
-    return built[samples]
+    if "_unit_speed" not in vars(curve):
+        curve._unit_speed = reparam_by_arclength(curve)
+    return curve._unit_speed
 
 
-def involute(alpha: DualCurve, c, samples: int = 64) -> InvoluteCurve:
+def involute(alpha: DualCurve, c) -> InvoluteCurve:
     """Involute of alpha for string constant c, on the arc-length
     reparametrization of alpha (see ensure_unit_speed)."""
-    return InvoluteCurve(ensure_unit_speed(alpha, samples=samples), as_dual(c))
+    return InvoluteCurve(ensure_unit_speed(alpha), as_dual(c))
 
 
 def involute_torsion(alpha: DualCurve, c, s: float) -> DualScalar:
@@ -151,12 +147,12 @@ def involute_torsion(alpha: DualCurve, c, s: float) -> DualScalar:
     d2 = jderiv(d1)
     d3 = jtruncate(jderiv(d2), 1)
     d1, d2 = jtruncate(d1, 1), jtruncate(d2, 1)
-    cv = jcross(d1, d2)
+    cv = cross(d1, d2)
     if max(abs(v.d0.re) for v in cv) <= PURE_DUAL_TOL:
         raise PureDualCurvature(f"curvature has no real part at s = {s!r}")
     speed = jnorm(d1)
     kappa_jet = jnorm(cv) / speed**3
-    tau_jet = jdot(cv, d3) / jdot(cv, cv)
+    tau_jet = dot(cv, d3) / dot(cv, cv)
     kappa, tau = kappa_jet.d0, tau_jet.d0
     dkappa = kappa_jet.d1 / speed.d0
     dtau = tau_jet.d1 / speed.d0

@@ -259,11 +259,12 @@ class ReparamCurve(DualCurve):
     the composed curve has dual speed exactly 1 + eps*0: the real part
     inverts the real arc length (ArcLengthTable.invert_real, to 1e-12), and
     the dual correction cancels the dual part of the cumulative length.
+    The table has 64 knots.
     """
 
-    def __init__(self, base: DualCurve, samples: int = 64):
+    def __init__(self, base: DualCurve):
         self.base = base
-        self.table = ArcLengthTable(base, samples=samples)
+        self.table = ArcLengthTable(base)
         super().__init__((0.0, self.table.length.re))
 
     def coord_jets(self, t0, order: int):
@@ -294,6 +295,7 @@ class ReparamCurve(DualCurve):
         return out
 
 
-def reparam_by_arclength(curve: DualCurve, samples: int = 64) -> ReparamCurve:
-    """Reparametrize so the dual speed is identically 1 + eps*0 (arc_length's rule)."""
-    return ReparamCurve(curve, samples=samples)
+def reparam_by_arclength(curve: DualCurve) -> ReparamCurve:
+    """Reparametrize so the dual speed is identically 1 + eps*0 (arc_length's
+    rule, on a 64-knot table)."""
+    return ReparamCurve(curve)

@@ -126,25 +126,29 @@ def as_dual(value) -> DualScalar:
     return out
 
 
-def div(x: DualScalar, y: DualScalar, tol: float = PURE_DUAL_TOL) -> DualScalar:
-    """Dual division x / y; y must not be pure dual (|y.re| > tol)."""
-    if abs(y.re) <= tol:
+def div(x: DualScalar, y: DualScalar) -> DualScalar:
+    """Dual division x / y; y must not be pure dual (|y.re| > 1e-9)."""
+    if abs(y.re) <= PURE_DUAL_TOL:
         raise PureDualDivisor(f"divisor {y} has (numerically) zero real part")
     re = x.re / y.re
+    num = x.du * y.re - x.re * y.du
     yy = y.re * y.re
-    if yy == math.inf:  # |y.re| > 1.3e154: the quotient rule's b**2 overflows
+    # The quotient rule's numerator or b**2 overflows (|y.re| > 1.3e154 for
+    # b**2): divide by b once instead.
+    if yy == math.inf or not math.isfinite(num):
         return DualScalar(re, (x.du - re * y.du) / y.re)
-    return DualScalar(re, (x.du * y.re - x.re * y.du) / yy)
+    return DualScalar(re, num / yy)
 
 
-def is_pure_dual(x: DualScalar, tol: float = PURE_DUAL_TOL) -> bool:
-    """True when the real part is zero up to tol."""
-    return abs(x.re) <= tol
+def is_pure_dual(x: DualScalar) -> bool:
+    """True when the real part is zero up to PURE_DUAL_TOL (1e-9)."""
+    return abs(x.re) <= PURE_DUAL_TOL
 
 
-def dual_abs(x: DualScalar, tol: float = PURE_DUAL_TOL) -> DualScalar:
-    """|a + eps b| = |a| + eps sign(a) b; undefined for pure-dual input."""
-    if abs(x.re) <= tol:
+def dual_abs(x: DualScalar) -> DualScalar:
+    """|a + eps b| = |a| + eps sign(a) b; undefined for pure-dual input
+    (|a| <= 1e-9)."""
+    if abs(x.re) <= PURE_DUAL_TOL:
         raise DomainError(f"absolute value of pure-dual {x} is undefined")
     return x if x.re > 0 else -x
 

@@ -13,6 +13,7 @@ import math
 
 from .dual import PURE_DUAL_TOL, DualScalar, as_dual, derivative_table, div
 from .errors import PureDualVector
+from .linalg import DualVec3, dot
 
 _ZERO = DualScalar(0.0)
 _ONE = DualScalar(1.0)
@@ -185,45 +186,29 @@ def shift_dual(jets, amount: float):
 
 # --- jets of dual 3-vectors ------------------------------------------------
 #
-# A vector of jets is a plain 3-tuple of Jet; these helpers mirror the
-# DualVec3 operations at jet level.
+# A vector of jets is a DualVec3 with Jet components, so +, -, scaling,
+# dot and cross are linalg's.  jnorm and jnormalize stay separate from
+# linalg.norm and normalize: they test the squared norm's real part against
+# PURE_DUAL_TOL**2 and divide each component by the norm jet, where norm
+# tests the real 3-vector's length and normalize multiplies by a reciprocal,
+# so sharing one function would change results in the last bit.
 
 
-def jsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+def jderiv(u) -> DualVec3:
+    return DualVec3(*(a.derivative() for a in u))
 
 
-def jscale(u, c):
-    return tuple(a * c for a in u)
-
-
-def jderiv(u):
-    return tuple(a.derivative() for a in u)
-
-
-def jtruncate(u, order: int):
-    return tuple(a.truncated(order) for a in u)
-
-
-def jdot(u, v) -> Jet:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def jcross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
+def jtruncate(u, order: int) -> DualVec3:
+    return DualVec3(*(a.truncated(order) for a in u))
 
 
 def jnorm(u) -> Jet:
-    sq = jdot(u, u)
+    sq = dot(u, u)
     if sq.d0.re <= PURE_DUAL_TOL * PURE_DUAL_TOL:
         raise PureDualVector("norm of a jet vector with zero real part")
     return sq.apply("sqrt")
 
 
-def jnormalize(u):
+def jnormalize(u) -> DualVec3:
     n = jnorm(u)
-    return tuple(c / n for c in u)
+    return DualVec3(*(c / n for c in u))

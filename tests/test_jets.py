@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from dualcurves import DualScalar, Jet, compose, shift_dual
+from dualcurves import DualScalar, DualVec3, Jet, compose, cross, dot, shift_dual
 from dualcurves.errors import PureDualDivisor
-from dualcurves.jets import jcross, jderiv, jdot, jnorm, jnormalize
+from dualcurves.jets import jderiv, jnorm, jnormalize
 
 
 def poly_jet(t0: float, order: int = 3) -> Jet:
@@ -125,7 +125,13 @@ def test_vector_jet_helpers():
     speed = jnorm(jderiv(v))
     assert abs(speed.d0.re - 1.0) < 1e-15
     unit = jnormalize(jderiv(v))
-    n2 = jdot(unit, unit)
+    assert isinstance(unit, DualVec3)
+    n2 = dot(unit, unit)
     assert abs(n2.d0.re - 1.0) < 1e-15
-    c = jcross(v, jderiv(v))
-    assert abs(c[2].d0.re - 1.0) < 1e-15
+    w = DualVec3(x, y, z)
+    assert list(w) == [x, y, z]
+    c = cross(w, jderiv(w))
+    assert abs(c.z.d0.re - 1.0) < 1e-15
+    lhs = (w - unit * dot(w, unit)) + unit * dot(w, unit)
+    for a, b in zip(lhs, w):
+        assert all(abs(p.re - q.re) < 1e-15 for p, q in zip(a.coeffs, b.coeffs))
