@@ -16,13 +16,13 @@ import numpy as np
 
 from .curves import (_EVAL_ORDER, DualCurve, ReparamCurve, _one_evaluation,
                      reparam_by_arclength)
-from .dual import PURE_DUAL_TOL, DualScalar, as_dual, dual_abs
+from .dual import PURE_DUAL_TOL, DualScalar, as_dual, dual_abs, is_pure_dual
 from .errors import (CuspPoint, DegenerateAngle, DegenerateDenominator,
                      IrregularCurve, NotPlanar, PureDualCurvature,
                      PureDualVector, Underdetermined)
 from .frenet import frenet_at
 from .jets import Jet, jderiv, jnorm, jnormalize, jtruncate
-from .linalg import DualAngle, DualVec3, cross, dot, dual_angle, norm
+from .linalg import DualAngle, DualVec3, cross, dot, dual_angle, is_pure_dual_vec, norm
 
 DEFAULT_TOL = 1e-8
 DEFAULT_SAMPLES = 100
@@ -148,7 +148,7 @@ def involute_torsion(alpha: DualCurve, c, s: float) -> DualScalar:
     d3 = jtruncate(jderiv(d2), 1)
     d1, d2 = jtruncate(d1, 1), jtruncate(d2, 1)
     cv = cross(d1, d2)
-    if max(abs(v.d0.re) for v in cv) <= PURE_DUAL_TOL:
+    if is_pure_dual_vec(v.d0 for v in cv):
         raise PureDualCurvature(f"curvature has no real part at s = {s!r}")
     speed = jnorm(d1)
     kappa_jet = jnorm(cv) / speed**3
@@ -156,13 +156,13 @@ def involute_torsion(alpha: DualCurve, c, s: float) -> DualScalar:
     kappa, tau = kappa_jet.d0, tau_jet.d0
     dkappa = kappa_jet.d1 / speed.d0
     dtau = tau_jet.d1 / speed.d0
-    if abs(kappa.re) <= PURE_DUAL_TOL:
+    if is_pure_dual(kappa):
         raise PureDualCurvature(f"pure-dual curvature at s = {s!r}")
     string = c - as_dual(s)
-    if abs(string.re) <= PURE_DUAL_TOL:
+    if is_pure_dual(string):
         raise CuspPoint(f"c - s is pure-dual at s = {s!r}")
     sq = kappa * kappa + tau * tau
-    if abs(sq.re) <= PURE_DUAL_TOL:
+    if is_pure_dual(sq):
         raise DegenerateDenominator(
             f"kappa^2 + tau^2 has no real part at s = {s!r}")
     return (kappa * dtau - dkappa * tau) / (kappa * string * sq)
@@ -319,12 +319,11 @@ def _pair_distance(p: DualVec3, q: DualVec3) -> DualScalar:
     """Dual distance between corresponding points; coincident points
     (both parts) give 0+eps*0, a pure-dual separation is an error."""
     diff = q - p
-    re_mag = math.sqrt(sum(c.re * c.re for c in diff.comps()))
-    if re_mag > PURE_DUAL_TOL:
+    try:
         return norm(diff)
-    du_mag = math.sqrt(sum(c.du * c.du for c in diff.comps()))
-    if du_mag <= PURE_DUAL_TOL:
-        return DualScalar(0.0)
+    except PureDualVector:
+        if math.sqrt(sum(c.du * c.du for c in diff)) <= PURE_DUAL_TOL:
+            return DualScalar(0.0)
     raise PureDualVector(
         "corresponding points coincide in the real part but not the dual part")
 
@@ -516,7 +515,7 @@ def check_involute_pair(alpha: DualCurve, c1, c2, n: int = DEFAULT_SAMPLES,
     """
     c1, c2 = as_dual(c1), as_dual(c2)
     delta = c2 - c1
-    if abs(delta.re) <= PURE_DUAL_TOL and abs(delta.du) > PURE_DUAL_TOL:
+    if is_pure_dual(delta) and abs(delta.du) > PURE_DUAL_TOL:
         raise PureDualVector(f"string constants c1 = {c1} and c2 = {c2} differ only"
                              " in the dual part: the involutes' separation is pure-dual")
     plan_tol = max(tol, PURE_DUAL_TOL)
@@ -557,8 +556,7 @@ def check_involute_pair(alpha: DualCurve, c1, c2, n: int = DEFAULT_SAMPLES,
     report = _pair_report(ss, ss, frames1, frames2, tol)
     criteria.update(report.criteria)
 
-    expected = (DualScalar(0.0) if abs(delta.re) <= PURE_DUAL_TOL
-                else dual_abs(delta))
+    expected = DualScalar(0.0) if is_pure_dual(delta) else dual_abs(delta)
     _, mean = _deviation(report.distance_samples)
     err = max(abs(mean.re - expected.re), abs(mean.du - expected.du))
     criteria["distance_value"] = CriterionResult(

@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dual import PURE_DUAL_TOL, DualScalar, as_dual
-from .errors import IrregularCurve, OutOfDomain, QuadratureFailure
+from .dual import DualScalar, as_dual
+from .errors import IrregularCurve, OutOfDomain, PureDualVector, QuadratureFailure
 from .jets import Jet, compose, jderiv, jnorm, shift_dual
 from .linalg import DualVec3, norm
 
@@ -98,11 +98,10 @@ class DualCurve:
         """Dual speed ||alpha'(t)||; raises IrregularCurve if its real part
         is at most PURE_DUAL_TOL (1e-9)."""
         jets = self.coord_jets(as_dual(t), 1)
-        d1 = [j.d1 for j in jets]
-        speed_re = math.sqrt(sum(c.re * c.re for c in d1))
-        if speed_re <= PURE_DUAL_TOL:
-            raise IrregularCurve(f"curve speed vanishes at t = {t!r}")
-        return norm(DualVec3(*d1))
+        try:
+            return norm(DualVec3(*(j.d1 for j in jets)))
+        except PureDualVector as exc:
+            raise IrregularCurve(f"curve speed vanishes at t = {t!r}") from exc
 
 
 @cache  # built on first use: computing it at import loads numpy.polynomial

@@ -128,7 +128,7 @@ def as_dual(value) -> DualScalar:
 
 def div(x: DualScalar, y: DualScalar) -> DualScalar:
     """Dual division x / y; y must not be pure dual (|y.re| > 1e-9)."""
-    if abs(y.re) <= PURE_DUAL_TOL:
+    if is_pure_dual(y):
         raise PureDualDivisor(f"divisor {y} has (numerically) zero real part")
     re = x.re / y.re
     num = x.du * y.re - x.re * y.du
@@ -148,7 +148,7 @@ def is_pure_dual(x: DualScalar) -> bool:
 def dual_abs(x: DualScalar) -> DualScalar:
     """|a + eps b| = |a| + eps sign(a) b; undefined for pure-dual input
     (|a| <= 1e-9)."""
-    if abs(x.re) <= PURE_DUAL_TOL:
+    if is_pure_dual(x):
         raise DomainError(f"absolute value of pure-dual {x} is undefined")
     return x if x.re > 0 else -x
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import DualCurve, arc_length
-from .dual import PURE_DUAL_TOL, DualScalar, as_dual
+from .dual import DualScalar, as_dual, div
 from .errors import PureDualCurvature, PureDualDivisor, PureDualVector
-from .linalg import DualVec3, cross, det3, dot, norm, normalize
+from .linalg import DualVec3, cross, det3, dot, is_pure_dual_vec, norm, normalize
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,12 @@ def frenet_at(curve: DualCurve, t: float) -> FrenetData:
     point = curve.eval(t)
     d1, d2, d3 = point.d1, point.d2, point.d3
     c = cross(d1, d2)
-    if max(abs(v.re) for v in c.comps()) <= PURE_DUAL_TOL:
+    if is_pure_dual_vec(c):
         raise PureDualCurvature(
             f"curvature has no real part at t = {t!r}; frame undefined")
     try:
         speed = norm(d1)
-        T = normalize(d1)
+        T = d1 * div(DualScalar(1.0), speed)
         kappa = norm(c) / speed**3
         tau = det3(d1, d2, d3) / dot(c, c)
         w = d2 - dot(d2, T) * T

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 
-from .dual import PURE_DUAL_TOL, DualScalar, as_dual, derivative_table, div
+from .dual import DualScalar, as_dual, derivative_table, div
 from .errors import PureDualVector
-from .linalg import DualVec3, dot
+from .linalg import DualVec3, dot, is_pure_dual_vec
 
 _ZERO = DualScalar(0.0)
 _ONE = DualScalar(1.0)
@@ -187,11 +187,10 @@ def shift_dual(jets, amount: float):
 # --- jets of dual 3-vectors ------------------------------------------------
 #
 # A vector of jets is a DualVec3 with Jet components, so +, -, scaling,
-# dot and cross are linalg's.  jnorm and jnormalize stay separate from
-# linalg.norm and normalize: they test the squared norm's real part against
-# PURE_DUAL_TOL**2 and divide each component by the norm jet, where norm
-# tests the real 3-vector's length and normalize multiplies by a reciprocal,
-# so sharing one function would change results in the last bit.
+# dot, cross and is_pure_dual_vec (on the values d0) are linalg's.  jnorm
+# and jnormalize stay separate from norm and normalize: they take a jet's
+# square root and divide by the norm jet, where normalize multiplies by a
+# reciprocal, so sharing one function would change results in the last bit.
 
 
 def jderiv(u) -> DualVec3:
@@ -203,10 +202,9 @@ def jtruncate(u, order: int) -> DualVec3:
 
 
 def jnorm(u) -> Jet:
-    sq = dot(u, u)
-    if sq.d0.re <= PURE_DUAL_TOL * PURE_DUAL_TOL:
+    if is_pure_dual_vec(c.d0 for c in u):
         raise PureDualVector("norm of a jet vector with zero real part")
-    return sq.apply("sqrt")
+    return dot(u, u).apply("sqrt")
 
 
 def jnormalize(u) -> DualVec3:

@@ -94,22 +94,26 @@ def det3(u: DualVec3, v: DualVec3, w: DualVec3) -> DualScalar:
             + u.z * (v.x * w.y - v.y * w.x))
 
 
+def is_pure_dual_vec(comps) -> bool:
+    """The vector twin of is_pure_dual: True when the real parts of the
+    DualScalars comps have Euclidean length at most PURE_DUAL_TOL (1e-9)."""
+    return math.sqrt(sum(c.re * c.re for c in comps)) <= PURE_DUAL_TOL
+
+
 def norm(u: DualVec3) -> DualScalar:
     """Dual norm ||u|| = ||a|| + eps <a, a*> / ||a||.
 
     Undefined when the real part vanishes: raises PureDualVector if
     ||a|| <= PURE_DUAL_TOL (1e-9).
     """
-    if math.sqrt(float(np.dot(u.re, u.re))) <= PURE_DUAL_TOL:
+    if is_pure_dual_vec(u):
         raise PureDualVector(f"norm of vector with zero real part (du={list(u.du)})")
     return apply_analytic("sqrt", dot(u, u))
 
 
 def normalize(u: DualVec3) -> DualVec3:
     """u / ||u||; raises PureDualVector when ||a|| <= PURE_DUAL_TOL (1e-9)."""
-    n = norm(u)
-    inv = div(DualScalar(1.0), n)
-    return u * inv
+    return u * div(DualScalar(1.0), norm(u))
 
 
 @dataclass(frozen=True)
@@ -145,7 +149,8 @@ def dual_angle(u: DualVec3, v: DualVec3) -> DualAngle:
     phi = arccos of the real part of <u, v>; the dual part is
     phi_star = -<u, v>.du / sin(phi).  Raises NotUnit unless both inputs
     have dual norm 1 to within PURE_DUAL_TOL (1e-9), and DegenerateAngle
-    when the real angle is within 1e-9 of 0 or pi.
+    when u x v is pure dual or sin(phi) <= 1e-9 (acos turns a rounded dot
+    of 1 - 2**-53 into phi = 2**-26, so near 0 and pi the cross decides).
     """
     _require_unit(u, "first argument")
     _require_unit(v, "second argument")
@@ -153,7 +158,7 @@ def dual_angle(u: DualVec3, v: DualVec3) -> DualAngle:
     c = min(1.0, max(-1.0, d.re))
     phi = math.acos(c)
     s = math.sin(phi)
-    if s <= PURE_DUAL_TOL:
+    if s <= PURE_DUAL_TOL or is_pure_dual_vec(cross(u, v)):
         raise DegenerateAngle(
             f"directions are (anti)parallel (cos phi = {c:+.17g}); "
             "the dual part of the angle is undefined")

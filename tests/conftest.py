@@ -30,6 +30,12 @@ CONST_CURVATURE_DUAL = ("[2/5*(-cos(t) + 4*cos(t/5) - 1/11*cos(11*t/5))*(1 + eps
 
 CONST_CURVATURE_DOMAIN = (0.15, 1.2)
 
+# A dual cycloid whose involutes for c = 5.9105 and 6.4205+eps*0.1534 on
+# (0.5, 5.5) have tangents parallel to round-off at every sample: an angle
+# read from acos alone there hangs on one rounding of the dot product.
+CYCLOID = ("[(1 + eps*0.4997)*0.699*(t - sin(t)), "
+           "(1 + eps*0.4997)*0.699*(1 - cos(t)), 0]")
+
 
 @pytest.fixture(scope="session")
 def unit_circle():

@@ -22,8 +22,8 @@ from dualcurves.dsl import ExprCurve
 from dualcurves.errors import (CuspPoint, IrregularCurve, NotPlanar,
                                PureDualCurvature, PureDualVector)
 from tests.conftest import (CONST_CURVATURE, CONST_CURVATURE_DOMAIN,
-                            CONST_CURVATURE_DUAL, DUAL_CIRCLE, TWO_PI,
-                            UNIT_CIRCLE)
+                            CONST_CURVATURE_DUAL, CYCLOID, DUAL_CIRCLE,
+                            TWO_PI, UNIT_CIRCLE)
 
 LAMBDA_GRID = [DualScalar(1.0), DualScalar(-1.0), DualScalar(1.0, 1.0),
                DualScalar(-1.0, -1.0), DualScalar(0.5, 2.0)]
@@ -416,6 +416,15 @@ def test_involute_pair_of_dual_circle(dual_circle):
     for label in ("involute1", "involute2"):
         assert report.criteria[f"{label}_torsion_frenet"].passed
         assert report.criteria[f"{label}_torsion_formula"].passed
+
+
+def test_involute_pair_parallel_tangents_take_cosine_fallback():
+    base = compile_curve(CYCLOID, (0.5, 5.5))
+    report = check_involute_pair(base, DualScalar(5.9105),
+                                 DualScalar(6.4205, 0.1534), n=3)
+    assert report.passed
+    assert report.angle_samples is None
+    assert report.criteria["angle_constant"].detail.startswith("cosine fallback")
 
 
 def test_involute_pair_distance_is_string_difference(dual_circle):

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.conftest import CYCLOID
+
 CMD = [sys.executable, "-m", "dualcurves"]
 HELIX = "[2*cos(t), 2*sin(t), t]"
 DUAL_HELIX = "[(1 + eps)*cos(t), (1 + eps)*sin(t), t]"
@@ -186,6 +188,15 @@ def test_involute_pair_exit_zero():
     assert r.returncode == 0, r.stderr
     report = json.loads(r.stdout)
     assert report["pass"] is True
+
+
+def test_involute_pair_parallel_tangents_exit_zero():
+    r = run("involute", "--curve", CYCLOID, "--c", "5.9105",
+            "--c2", "6.4205+eps*0.1534", "--from", "0.5", "--to", "5.5",
+            "--n", "3")
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout)
+    assert report["pass"] is True and report["angles"] is None
 
 
 def test_study_to_dual_exact_output():

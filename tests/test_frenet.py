@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dualcurves import (DualVec3, compile_curve, cross, det3, dot, frenet_at,
-                        frenet_ode_residual, norm)
+                        frenet_ode_residual, norm, normalize)
 from dualcurves.errors import PureDualCurvature
 from tests.conftest import TWO_PI
 
@@ -123,6 +123,13 @@ def test_const_curvature_dual_scaling(const_curvature_dual):
         want = math.tan(0.6 * t)
         assert abs(fd.tau.re - want) <= 1e-11
         assert abs(fd.tau.du + want) <= 1e-10
+
+
+def test_tangent_is_normalized_velocity(dual_helix, twisted_cubic):
+    # T divides by the speed frenet_at already holds; the bits match normalize.
+    for curve in (dual_helix, twisted_cubic):
+        for t in (0.2, 0.5, 0.9):
+            assert frenet_at(curve, t).T == normalize(curve.eval(t).d1)
 
 
 def test_to_dict_schema(dual_helix):

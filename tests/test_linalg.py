@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dualcurves import (DualScalar, DualVec3, apply_analytic, cross, det3,
                         dot, dual_angle, norm, normalize)
 from dualcurves.errors import DegenerateAngle, NotUnit, PureDualVector
+from dualcurves.linalg import is_pure_dual_vec
 
 coord = st.floats(min_value=-10, max_value=10, allow_nan=False,
                   allow_infinity=False)
@@ -147,6 +148,27 @@ def test_dual_angle_real_perpendicular():
 def test_dual_angle_same_vector_degenerate():
     with pytest.raises(DegenerateAngle):
         dual_angle(E1, E1)
+
+
+def test_dual_angle_rounded_parallel_pair_degenerate():
+    # Parallel to round-off: the real dot rounds to 1 - 2**-53, which acos
+    # turns into a noise angle of 2**-26 ~ 1.5e-8, well above 1e-9.
+    v = DualVec3(DualScalar(1.0 - 2.0**-53), DualScalar(0.0), DualScalar(0.0))
+    assert dot(E1, v).re == 1.0 - 2.0**-53
+    assert math.sin(math.acos(dot(E1, v).re)) > 1e-9
+    with pytest.raises(DegenerateAngle):
+        dual_angle(E1, v)
+    with pytest.raises(DegenerateAngle):
+        dual_angle(v, -E1)
+
+
+def test_is_pure_dual_vec_is_euclidean():
+    tiny = 0.8e-9  # each component below 1e-9, the length 1.13e-9 above it
+    assert not is_pure_dual_vec(DualVec3.from_arrays([tiny, tiny, 0.0]))
+    assert is_pure_dual_vec(DualVec3.from_arrays([tiny, 0.0, 0.0], [5.0, 0.0, 0.0]))
+    assert is_pure_dual_vec([DualScalar(0.0, 1.0)] * 3)
+    with pytest.raises(PureDualVector):
+        norm(DualVec3.from_arrays([tiny, 0.0, 0.0], [1.0, 0.0, 0.0]))
 
 
 def test_dual_angle_requires_unit():
