@@ -19,7 +19,7 @@ from .curves import (_EVAL_ORDER, DualCurve, ReparamCurve, _one_evaluation,
 from .dual import PURE_DUAL_TOL, DualScalar, as_dual, dual_abs, is_pure_dual
 from .errors import (CuspPoint, DegenerateAngle, DegenerateDenominator,
                      IrregularCurve, NotPlanar, PureDualCurvature,
-                     PureDualVector, Underdetermined)
+                     PureDualDivisor, PureDualVector, Underdetermined)
 from .frenet import frenet_at
 from .jets import Jet, jderiv, jnorm, jnormalize, jtruncate
 from .linalg import DualAngle, DualVec3, cross, dot, dual_angle, is_pure_dual_vec, norm
@@ -138,7 +138,8 @@ def involute_torsion(alpha: DualCurve, c, s: float) -> DualScalar:
         (kappa*tau' - kappa'*tau) / (kappa * (c - s) * (kappa^2 + tau^2))
 
     with ' the arc-length derivative: an independent route to the number
-    frenet_at gives on the involute.  Real parts <= PURE_DUAL_TOL are zero.
+    frenet_at gives on the involute.  Real parts <= PURE_DUAL_TOL are zero;
+    a zero curvature or frame divisor raises PureDualCurvature naming s.
     """
     unit = ensure_unit_speed(alpha)
     c = as_dual(c)
@@ -150,9 +151,12 @@ def involute_torsion(alpha: DualCurve, c, s: float) -> DualScalar:
     cv = cross(d1, d2)
     if is_pure_dual_vec(v.d0 for v in cv):
         raise PureDualCurvature(f"curvature has no real part at s = {s!r}")
-    speed = jnorm(d1)
-    kappa_jet = jnorm(cv) / speed**3
-    tau_jet = dot(cv, d3) / dot(cv, cv)
+    try:
+        speed = jnorm(d1)
+        kappa_jet = jnorm(cv) / speed**3
+        tau_jet = dot(cv, d3) / dot(cv, cv)
+    except (PureDualVector, PureDualDivisor) as exc:
+        raise PureDualCurvature(f"degenerate frame data at s = {s!r}: {exc}") from exc
     kappa, tau = kappa_jet.d0, tau_jet.d0
     dkappa = kappa_jet.d1 / speed.d0
     dtau = tau_jet.d1 / speed.d0

@@ -11,10 +11,10 @@ from __future__ import annotations
 import bisect
 import contextlib
 import math
+import operator
+from array import array
 from functools import cache
 from typing import NamedTuple
-
-import numpy as np
 
 from .dual import DualScalar, as_dual
 from .errors import IrregularCurve, OutOfDomain, PureDualVector, QuadratureFailure
@@ -23,7 +23,8 @@ from .linalg import DualVec3, norm
 
 
 # The one arc-length rule; arc_length and invert_real state it.
-_GAUSS_ORDER, _PANEL_TOL, _PANEL_FLOOR, _MAX_DEPTH = 16, 1e-10, 1e-16, 40
+_CHEB_POINTS, _MAX_DEPTH = (16, 48, 144), 40
+_TAIL, _TAIL_REL, _TAIL_ABS = 4, 1e-14, 1e-16
 _INVERT_TOL, _INVERT_STEPS = 1e-12, 50
 _EVAL_ORDER = 3
 # (curve, t.re, t.du) -> highest-order jets, inside _one_evaluation only.
@@ -104,59 +105,87 @@ class DualCurve:
             raise IrregularCurve(f"curve speed vanishes at t = {t!r}") from exc
 
 
-@cache  # built on first use: computing it at import loads numpy.polynomial
-def _gauss_rule():
-    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-    return tuple(nodes), tuple(weights)
+@cache  # rows for 144 points are built only if some piece needs them
+def _dct_rows(n):
+    """cos(pi*k*(2j+1)/(2n)) as row k, column j; row 1 holds the n
+    first-kind Chebyshev points, from near +1 down to near -1."""
+    cos = [math.cos(math.pi * m / (2 * n)) for m in range(4 * n)]
+    return tuple(array("d", [cos[k * (2 * j + 1) % (4 * n)] for j in range(n)])
+                 for k in range(n))
 
 
-def _panel(curve, a, b, nodes, weights) -> DualScalar:
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    total = DualScalar(0.0)
-    for x, w in zip(nodes, weights):
-        total = total + w * curve.velocity_norm(mid + half * x)
-    return half * total
+def _clenshaw(coeffs, x: float) -> float:
+    """sum_k coeffs[k] * T_k(x)."""
+    x2, b1, b2 = 2.0 * x, 0.0, 0.0
+    for c in coeffs[:0:-1]:
+        b1, b2 = x2 * b1 - b2 + c, b1
+    return x * b1 - b2 + coeffs[0]
 
 
-def _quadrature(curve, t0, t1):
-    """Adaptive quadrature of the dual speed over [t0, t1] (see arc_length).
+def _chebint(c, half: float) -> array:
+    """half times the antiderivative of c[0]/2 + sum_k c[k] T_k that
+    vanishes at -1: a piece's arc length from its left end."""
+    c = list(c) + [0.0, 0.0]
+    b = [0.0] + [half * (c[k - 1] - c[k + 1]) / (2 * k) for k in range(1, len(c) - 1)]
+    b[0] = sum(b[1::2]) - sum(b[2::2])
+    return array("d", b)
 
-    Returns the total and the accepted half-panels as (right end, value),
-    in the order the subdivision accepts them, which runs right to left.
-    """
-    nodes, weights = _gauss_rule()
-    span = t1 - t0
-    min_width = span / 2.0**_MAX_DEPTH
-    total = DualScalar(0.0)
-    halves = []
-    stack = [(t0, t1, _panel(curve, t0, t1, nodes, weights))]
+
+class _Piece(NamedTuple):
+    """[lo, hi] with Chebyshev series in x = (2t - lo - hi) / (hi - lo)."""
+
+    lo: float
+    hi: float
+    speed: array  # real speed
+    re: array  # real arc length from lo
+    du: array  # dual arc length from lo
+    length: DualScalar
+
+
+def _fit(curve, a: float, b: float) -> list[_Piece]:
+    """The dual speed on [a, b] as Chebyshev pieces, left to right (see arc_length)."""
+    pieces = []
+    stack = [(a, b, 0)]
     while stack:
-        a, b, whole = stack.pop()
-        mid = 0.5 * (a + b)
-        left = _panel(curve, a, mid, nodes, weights)
-        right = _panel(curve, mid, b, nodes, weights)
-        refined = left + right
-        share = max(_PANEL_TOL * (b - a) / span, _PANEL_FLOOR)
-        if abs(refined.re - whole.re) <= share and abs(refined.du - whole.du) <= share:
-            total = total + refined
-            halves += [(b, right), (mid, left)]
-            continue
-        if (b - a) <= min_width:
-            raise QuadratureFailure(
-                f"arc-length quadrature stalled on [{a!r}, {b!r}]")
-        stack.append((a, mid, left))
-        stack.append((mid, b, right))
-    return total, halves
+        lo, hi, depth = stack.pop()
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        values = []
+        for n in _CHEB_POINTS:
+            rows = _dct_rows(n)
+            # point i of the n/3 grid is point 3i + 1 of this one
+            values = [values[j // 3] if j % 3 == 1 and values else
+                      curve.velocity_norm(mid + half * rows[1][j]) for j in range(n)]
+            parts = ([v.re for v in values], [v.du for v in values])
+            c_re, c_du = ([2.0 / n * sum(map(operator.mul, row, part)) for row in rows]
+                          for part in parts)
+            scale = max(max(abs(x) for x in part) for part in parts)
+            tail = max(abs(x) for x in c_re[-_TAIL:] + c_du[-_TAIL:])
+            if tail <= max(_TAIL_REL * scale, _TAIL_ABS / half):
+                re, du = _chebint(c_re, half), _chebint(c_du, half)
+                c_re[0] *= 0.5
+                pieces.append(_Piece(lo, hi, array("d", c_re), re, du,
+                                     DualScalar(sum(re), sum(du))))
+                break
+        else:
+            if depth == _MAX_DEPTH:
+                raise QuadratureFailure(
+                    f"arc-length quadrature stalled on [{lo!r}, {hi!r}]")
+            stack += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
+    return pieces
 
 
 def arc_length(curve: DualCurve, t0: float, t1: float) -> DualScalar:
     """Dual arc length of the curve over [t0, t1].
 
-    Adaptive 16-point Gauss-Legendre quadrature of the dual speed: a panel is
-    accepted when bisecting it changes the real part and the dual part each
-    by at most the panel's share of 1e-10 (never below 1e-16).  Raises
-    QuadratureFailure past 40 levels of subdivision and IrregularCurve if
-    the speed's real part vanishes at a quadrature node.
+    The dual speed is sampled at 16 first-kind Chebyshev points (never the
+    ends), then 48 and 144 (tripling reuses every value), and read as a
+    Chebyshev series.  A piece is accepted when the last 4 coefficients of
+    the real and the dual part are at most 1e-14 times the largest sample
+    of either part, or at most 1e-16 once multiplied by the half-width;
+    otherwise it is bisected.  The length is the sum of the pieces'
+    integrated series.  Raises QuadratureFailure past 40 levels of
+    bisection and IrregularCurve if the speed's real part vanishes at a
+    sample point.
     """
     t0, t1 = float(t0), float(t1)
     if t0 > t1:
@@ -165,22 +194,21 @@ def arc_length(curve: DualCurve, t0: float, t1: float) -> DualScalar:
     curve._check_domain(t1)
     if t0 == t1:
         return DualScalar(0.0)
-    return _quadrature(curve, t0, t1)[0]
+    return sum((piece.length for piece in _fit(curve, t0, t1)), DualScalar(0.0))
 
 
 class ArcLengthTable:
     """Cumulative dual arc length sampled at uniform knots.
 
-    Between knots the table keeps the half-panels its adaptive quadrature
-    accepted: `edges` are their end points in increasing order and
-    `edge_lengths` the cumulative dual length at each.  The cumulative
-    length at any parameter is the value at the nearest edge plus one
-    16-point Gauss-Legendre rule over the remainder; the real part is
-    inverted by a seed interpolated between edges, refined with Newton
-    iteration.  The panels are arc_length's, accepted at 1e-10.
+    Each knot interval is fitted by arc_length's rule, so `cumulative` is
+    the running sum of arc_length over the knot intervals.  The table keeps
+    the pieces: `edges` are their ends in increasing order (the knots among
+    them) and `edge_lengths` the cumulative dual length at each.  s_at(t)
+    is the length at the edge before t plus one evaluation of that piece's
+    integrated series; invert_real seeds linearly between edges and takes
+    Newton steps with the real speed series as derivative.  Neither
+    evaluates the curve.
     """
-
-    order = _GAUSS_ORDER
 
     def __init__(self, curve: DualCurve, samples: int = 64):
         if samples < 2:
@@ -191,43 +219,51 @@ class ArcLengthTable:
         for knot in self.knots:
             curve.velocity_norm(knot)
         cumulative = [DualScalar(0.0)]
-        edges, edge_lengths = [self.knots[0]], [cumulative[0]]
+        pieces, edge_lengths = [], [cumulative[0]]
         for lo, hi in zip(self.knots, self.knots[1:]):
-            total, halves = _quadrature(curve, lo, hi)
+            fit = _fit(curve, lo, hi)
             s = cumulative[-1]
-            for end, value in reversed(halves):
-                s = s + value
-                edges.append(end)
+            for piece in fit[:-1]:
+                s = s + piece.length
                 edge_lengths.append(s)
+            total = sum((piece.length for piece in fit), DualScalar(0.0))
             cumulative.append(cumulative[-1] + total)
-            edge_lengths[-1] = cumulative[-1]
+            edge_lengths.append(cumulative[-1])
+            pieces += fit
         self.cumulative = cumulative
-        self.edges = edges
+        self.edges = [self.knots[0]] + [piece.hi for piece in pieces]
         self.edge_lengths = edge_lengths
         s_re = [c.re for c in cumulative]
         if any(y >= z for y, z in zip(s_re, s_re[1:])):
             raise IrregularCurve("cumulative arc length is not strictly increasing")
-        self._seed_s = np.array([c.re for c in edge_lengths])
+        self._pieces = pieces
+        self._edge_s = array("d", [c.re for c in edge_lengths])
 
     @property
     def length(self) -> DualScalar:
         return self.cumulative[-1]
 
+    def _locate(self, t: float) -> tuple[int, float]:
+        """Index of the piece holding t, and t in that piece's variable."""
+        i = min(max(bisect.bisect_right(self.edges, t) - 1, 0), len(self._pieces) - 1)
+        piece = self._pieces[i]
+        return i, (2.0 * t - piece.lo - piece.hi) / (piece.hi - piece.lo)
+
     def s_at(self, t: float) -> DualScalar:
         """Cumulative dual arc length from the domain start to t."""
         self.curve._check_domain(t)
-        edges = self.edges
-        i = bisect.bisect_left(edges, t)
-        if i == len(edges) or (i > 0 and t - edges[i - 1] <= edges[i] - t):
-            i -= 1
-        if t == edges[i]:
+        i, x = self._locate(t)
+        if t == self.edges[i]:
             return self.edge_lengths[i]
-        nodes, weights = _gauss_rule()
-        return self.edge_lengths[i] + _panel(self.curve, edges[i], t, nodes, weights)
+        if t == self.edges[i + 1]:
+            return self.edge_lengths[i + 1]
+        piece = self._pieces[i]
+        return self.edge_lengths[i] + DualScalar(_clenshaw(piece.re, x),
+                                                 _clenshaw(piece.du, x))
 
     def invert_real(self, s: float) -> float:
-        """Parameter t with real arc length s, by interpolated seed + Newton:
-        to 1e-12 of max(1, length) in at most 50 steps."""
+        """Parameter t with real arc length s, by a seed linear between
+        edges + Newton: to 1e-12 of max(1, length) in at most 50 steps."""
         return self._invert(s)[0]
 
     def _invert(self, s: float) -> tuple[float, DualScalar]:
@@ -238,7 +274,10 @@ class ArcLengthTable:
         if not (-slack <= s <= total + slack):
             raise OutOfDomain(f"arc length {s!r} outside [0, {total!r}]")
         s = min(max(s, 0.0), total)
-        t = float(np.interp(s, self._seed_s, self.edges))
+        edges, edge_s = self.edges, self._edge_s
+        i = min(bisect.bisect_right(edge_s, s), len(edges) - 1)
+        lo, hi, s_lo, s_hi = edges[i - 1], edges[i], edge_s[i - 1], edge_s[i]
+        t = lo + (hi - lo) * (s - s_lo) / (s_hi - s_lo) if s_hi > s_lo else lo
         t = min(max(t, a), b)
         goal = _INVERT_TOL * max(1.0, total)
         for _ in range(_INVERT_STEPS):
@@ -246,7 +285,8 @@ class ArcLengthTable:
             r = s_hat.re - s
             if abs(r) <= goal:
                 return t, s_hat
-            t = t - r / self.curve.velocity_norm(t).re
+            i, x = self._locate(t)
+            t = t - r / _clenshaw(self._pieces[i].speed, x)
             t = min(max(t, a), b)
         raise QuadratureFailure(f"arc-length inversion did not converge at s = {s!r}")
 
@@ -296,5 +336,6 @@ class ReparamCurve(DualCurve):
 
 def reparam_by_arclength(curve: DualCurve) -> ReparamCurve:
     """Reparametrize so the dual speed is identically 1 + eps*0 (arc_length's
-    rule, on a 64-knot table)."""
+    Chebyshev rule on each interval of a 64-knot table, whose kept series
+    answer every lookup and inversion)."""
     return ReparamCurve(curve)

@@ -392,6 +392,13 @@ def test_involute_torsion_helix_base(unit_helix):
     assert abs(val.re) <= 1e-10 and abs(val.du) <= 1e-10
 
 
+def test_involute_torsion_tiny_curvature_names_s():
+    # |d1 x d2| ~ 1e-9 clears the cross test, but its square divides tau
+    base = compile_curve("[t, 0.4e-9*t^2, 0.4e-9*t^2]", (0.0, 1.0))
+    with pytest.raises(PureDualCurvature, match="s = 0.1"):
+        involute_torsion(base, DualScalar(5.0), 0.1)
+
+
 def test_involute_torsion_matches_direct_frenet():
     base = compile_curve(CONST_CURVATURE, (0.1, 1.2))
     c = DualScalar(5.0, 0.5)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dualcurves import (ArcLengthTable, DualCurve, DualScalar, arc_length,
                         compile_curve, reparam_by_arclength)
 from dualcurves.errors import IrregularCurve, OutOfDomain
-from tests.conftest import TWO_PI
+from tests.conftest import DUAL_CIRCLE, TWO_PI
 
 SQRT2 = math.sqrt(2.0)
 
@@ -167,7 +167,8 @@ def test_table_cumulative_is_running_sum_of_arc_lengths():
     assert cubic_table.length == running[-1]
 
 
-def test_table_s_at_is_one_fixed_rule(monkeypatch):
+@pytest.fixture
+def speed_calls(monkeypatch):
     calls = []
     speed = DualCurve.velocity_norm
 
@@ -176,11 +177,49 @@ def test_table_s_at_is_one_fixed_rule(monkeypatch):
         return speed(self, t, *args, **kwargs)
 
     monkeypatch.setattr(DualCurve, "velocity_norm", counted)
+    return calls
+
+
+def test_table_s_at_is_one_fixed_rule(speed_calls):
+    # lookups and inversion read the kept series, never the curve
     edges = cubic_table.edges
     cubic_table.s_at(0.3 * edges[4] + 0.7 * edges[5])
-    assert len(calls) == cubic_table.order
     cubic_table.s_at(edges[5])
-    assert len(calls) == cubic_table.order
+    assert speed_calls == []
+    cubic_table.invert_real(0.4 * cubic_table.length.re)
+    assert speed_calls == []
+
+
+# the seed-101 families of the benchmark's arclength_build workload at its
+# 16 knots, and the dual circle at the reparametrization's 64
+SMOOTH_TABLES = [
+    ("[(1 + eps*0.1779)*1.2649*cos(t), (1 + eps*0.1779)*1.2649*sin(t), 0]",
+     (0.0, 5.0), 16),
+    ("[(1 + eps*0.2869)*1.1861*exp(0.1924*t)*cos(t), "
+     "(1 + eps*0.2869)*1.1861*exp(0.1924*t)*sin(t), 0]", (0.0, 5.0), 16),
+    ("[(1 + eps*0.1858)*0.8654*(t - sin(t)), (1 + eps*0.1858)*0.8654*(1 - cos(t)), 0]",
+     (0.5, 5.5), 16),
+    ("[(1 + eps*0.2154)*t, (1 + eps*0.2154)*0.4887*t^2, 0]", (-1.5, 1.5), 16),
+    ("[(1 + eps*0.4884)*0.9699*cos(t), (1 + eps*0.4884)*0.9699*sin(t), "
+     "(1 + eps*0.4884)*0.7155*t]", (0.0, 5.0), 16),
+    (DUAL_CIRCLE, (0.0, TWO_PI), 64),
+]
+
+
+@pytest.mark.parametrize("source, domain, samples", SMOOTH_TABLES, ids=[
+    "circle", "logspiral", "cycloid", "parabola", "helix", "dual_circle_64"])
+def test_smooth_table_costs_16_speeds_per_knot_interval(source, domain, samples,
+                                                        speed_calls):
+    # every knot, plus 16 Chebyshev points on each knot interval
+    ArcLengthTable(compile_curve(source, domain), samples=samples)
+    assert len(speed_calls) == samples + (samples - 1) * 16
+
+
+def test_arc_length_speed_vanishing_at_an_end_only():
+    # |(2t, 3t^2)| vanishes at t = 0; interior sample points never touch it
+    s = arc_length(compile_curve("[t^2, t^3, 0]", (0.0, 1.0)), 0.0, 1.0)
+    assert abs(s.re - (13.0 * math.sqrt(13.0) - 8.0) / 27.0) <= 1e-12
+    assert s.du == 0.0
 
 
 def test_reparam_unit_speed_circle_r2():
