@@ -103,7 +103,7 @@ class InvoluteCurve(DualCurve):
         if self.c.re - s0.re <= PURE_DUAL_TOL:
             raise CuspPoint(
                 f"involute cusp: c - s = {self.c.re - s0.re!r} at s = {s0.re!r}")
-        A = self.base.coord_jets(s0, order + 1)
+        A = self.base._jets(s0, order + 1)
         T = _unit_tangent(A, order, "involute", "s", s0)
         string = [self.c - s0] + [DualScalar(0.0)] * order
         if order >= 1:
@@ -143,7 +143,7 @@ def involute_torsion(alpha: DualCurve, c, s: float) -> DualScalar:
     """
     unit = ensure_unit_speed(alpha)
     c = as_dual(c)
-    A = unit.coord_jets(as_dual(s), 4)
+    A = unit._jets(as_dual(s), 4)
     d1 = jderiv(A)
     d2 = jderiv(d1)
     d3 = jtruncate(jderiv(d2), 1)
@@ -181,10 +181,8 @@ def offset_tangent_residual(alpha: DualCurve, lam, t: float) -> tuple[float, flo
     max real and dual component magnitudes of the difference.
     """
     lam = as_dual(lam)
-    beta = OffsetCurve(alpha, lam)
-    with _one_evaluation():
-        fb = frenet_at(beta, t)
-        fa = frenet_at(alpha, t)
+    _, [fa], [fb] = _read_pairs(alpha, OffsetCurve(alpha, lam), [t],
+                                identity_pairing, frenet_at)
     ratio = fb.speed / fa.speed
     lhs = ratio * fb.T
     one = DualScalar(1.0)
@@ -196,6 +194,18 @@ def offset_tangent_residual(alpha: DualCurve, lam, t: float) -> tuple[float, flo
 
 def identity_pairing(t: float) -> float:
     return t
+
+
+def _read_pairs(alpha: DualCurve, beta: DualCurve, ts, pairing, read):
+    """(us, alpha's readings, beta's readings): us = pairing(t) for t in
+    ts, read(beta, u) at us, read(alpha, t) at ts, in one evaluation
+    scope.  beta is read first: an offset's evaluation of its base is the
+    one alpha's reading reuses."""
+    with _one_evaluation():
+        us = [pairing(t) for t in ts]
+        read_b = [read(beta, u) for u in us]
+        read_a = [read(alpha, t) for t in ts]
+    return us, read_a, read_b
 
 
 def nearest_point_pairing(alpha: DualCurve, beta: DualCurve):
@@ -377,10 +387,9 @@ def check_distance_constant(alpha: DualCurve, beta: DualCurve, pairing=None,
     """The dual distance between corresponding points is constant for a
     true pair.  Needs positions only, so it also runs where no frame
     exists.  Returns (CriterionResult, samples, mean)."""
-    pairing = pairing or identity_pairing
-    ts = _params(alpha.domain, n)
-    return _distance_criterion([alpha.position(t) for t in ts],
-                               [beta.position(pairing(t)) for t in ts], tol)
+    _, ps, qs = _read_pairs(alpha, beta, _params(alpha.domain, n),
+                            pairing or identity_pairing, DualCurve.position)
+    return _distance_criterion(ps, qs, tol)
 
 
 def check_angle_constant(alpha: DualCurve, beta: DualCurve, pairing=None,
@@ -392,10 +401,9 @@ def check_angle_constant(alpha: DualCurve, beta: DualCurve, pairing=None,
     the form the underlying derivative argument actually establishes.
     Returns (CriterionResult, angles_or_None, cos_samples).
     """
-    pairing = pairing or identity_pairing
-    ts = _params(alpha.domain, n)
-    return _angle_criterion([frenet_at(alpha, t).T for t in ts],
-                            [frenet_at(beta, pairing(t)).T for t in ts], tol)
+    _, frames_a, frames_b = _read_pairs(alpha, beta, _params(alpha.domain, n),
+                                        pairing or identity_pairing, frenet_at)
+    return _angle_criterion([f.T for f in frames_a], [f.T for f in frames_b], tol)
 
 
 def fit_linear_relation(kappas, taus) -> RelationFit:
@@ -439,13 +447,9 @@ def check_bertrand_pair(alpha: DualCurve, beta: DualCurve,
     is too close to 0 or pi for mu to be meaningful, and runs at
     RELATION_TOL_FACTOR times the pair tolerance.
     """
-    pairing = pairing or nearest_point_pairing(alpha, beta)
     ts = _params(alpha.domain, n)
-    with _one_evaluation():
-        us = [pairing(t) for t in ts]
-        # beta first: an offset's frame evaluates the base that alpha's reuses.
-        frames_b = [frenet_at(beta, u) for u in us]
-        frames_a = [frenet_at(alpha, t) for t in ts]
+    us, frames_a, frames_b = _read_pairs(
+        alpha, beta, ts, pairing or nearest_point_pairing(alpha, beta), frenet_at)
     return _pair_report(ts, us, frames_a, frames_b, tol)
 
 
@@ -515,7 +519,9 @@ def check_involute_pair(alpha: DualCurve, c1, c2, n: int = DEFAULT_SAMPLES,
     vanish on each involute, and applies the four Bertrand pair criteria.
     The expected constant distance |c2 - c1| is an extra criterion
     (PureDualVector if c2 - c1 is pure-dual).  All criteria use one
-    n-point grid on the window; the involutes pair at equal s.
+    n-point grid on the window; the involutes pair at equal s.  At each
+    sample both involute frames and both torsion-formula passes share one
+    evaluation of the unit-speed base, whose table is built beforehand.
     """
     c1, c2 = as_dual(c1), as_dual(c2)
     delta = c2 - c1
@@ -543,12 +549,13 @@ def check_involute_pair(alpha: DualCurve, c1, c2, n: int = DEFAULT_SAMPLES,
     inv2 = InvoluteCurve(unit, c2, domain=window)
 
     ss = _params(window, n)
-    frames1 = [frenet_at(inv1, s) for s in ss]
-    frames2 = [frenet_at(inv2, s) for s in ss]
+    with _one_evaluation():
+        _, frames1, frames2 = _read_pairs(inv1, inv2, ss, identity_pairing, frenet_at)
+        formulas = [[involute_torsion(unit, c, s) for s in ss] for c in (c1, c2)]
     criteria = {}
-    for label, frames, c in (("involute1", frames1, c1), ("involute2", frames2, c2)):
+    for label, frames, formula in (("involute1", frames1, formulas[0]),
+                                   ("involute2", frames2, formulas[1])):
         worst_frenet = max(max(abs(f.tau.re), abs(f.tau.du)) for f in frames)
-        formula = [involute_torsion(unit, c, s) for s in ss]
         worst_formula = max(max(abs(q.re), abs(q.du)) for q in formula)
         criteria[f"{label}_torsion_frenet"] = CriterionResult(
             f"{label}_torsion_frenet", worst_frenet <= tol, worst_frenet, tol,

@@ -98,7 +98,7 @@ class DualCurve:
     def velocity_norm(self, t: float) -> DualScalar:
         """Dual speed ||alpha'(t)||; raises IrregularCurve if its real part
         is at most PURE_DUAL_TOL (1e-9)."""
-        jets = self.coord_jets(as_dual(t), 1)
+        jets = self._jets(as_dual(t), 1)
         try:
             return norm(DualVec3(*(j.d1 for j in jets)))
         except PureDualVector as exc:
@@ -317,9 +317,9 @@ class ReparamCurve(DualCurve):
         that0 = DualScalar(t_re, -s_hat.du / speed_re)
 
         if n == 0:
-            return self.base.coord_jets(that0, 0)
+            return self.base._jets(that0, 0)
 
-        A = self.base.coord_jets(that0, n)
+        A = self.base._jets(that0, n)
         inv_speed = Jet.constant(1.0, n - 1) / jnorm(jderiv(A))
         coeffs = [that0, inv_speed.coeffs[0]]
         for k in range(2, n + 1):

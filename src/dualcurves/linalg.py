@@ -67,7 +67,7 @@ class DualVec3:
     __rmul__ = __mul__
 
     def to_dict(self):
-        return {"re": [float(v) for v in self.re], "du": [float(v) for v in self.du]}
+        return {"re": [c.re for c in self], "du": [c.du for c in self]}
 
 
 def dot(u: DualVec3, v: DualVec3) -> DualScalar:

@@ -183,6 +183,19 @@ def test_pair_check_evaluates_each_curve_once_per_sample(
     assert jet_calls == {ExprCurve: expr_calls, bertrand_module.OffsetCurve: 4}
 
 
+@pytest.mark.parametrize("check", [check_angle_constant, check_distance_constant])
+@pytest.mark.parametrize("pairing, expr_calls", [(nearest_point_pairing, 8),
+                                                 (identity_pairing, 4)])
+def test_standalone_checks_evaluate_like_pair_check(
+        helix_r2, jet_calls, check, pairing, expr_calls):
+    # The counts of check_bertrand_pair in the test above.
+    beta = offset_curve(helix_r2, DualScalar(1.0, 1.0))
+    chosen = pairing(helix_r2, beta) if pairing is nearest_point_pairing else pairing
+    result, _, _ = check(helix_r2, beta, pairing=chosen, n=4)
+    assert result.passed
+    assert jet_calls == {ExprCurve: expr_calls, bertrand_module.OffsetCurve: 4}
+
+
 def test_one_evaluation_scope_closes(helix_r2, jet_calls):
     beta = offset_curve(helix_r2, DualScalar(1.0, 1.0))
     with curves_module._one_evaluation():
@@ -445,7 +458,7 @@ def test_involute_pair_distance_is_string_difference(dual_circle):
     assert "2" in report.criteria["distance_value"].detail
 
 
-def test_involute_pair_evaluates_unit_base_four_times_per_sample(
+def test_involute_pair_evaluates_unit_base_once_per_sample(
         dual_circle, monkeypatch):
     ensure_unit_speed(dual_circle)
     calls = []
@@ -459,7 +472,8 @@ def test_involute_pair_evaluates_unit_base_four_times_per_sample(
     report = check_involute_pair(dual_circle, 3, 5, n=4)
     assert report.passed
     # two involute frames and two involute_torsion calls at each sample
-    assert len(calls) == 4 * 4
+    # share one evaluation of the unit-speed base
+    assert len(calls) == 4
 
 
 # The four plane bases of the involute theorem, each scaled by a dual
